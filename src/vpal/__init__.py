@@ -17,7 +17,6 @@ from .errors import (
 )
 from .numbers import (
     DEFAULT_BUDGET,
-    DigitNumber,
     Factorization,
     concat,
     digit_count,

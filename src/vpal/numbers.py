@@ -7,18 +7,21 @@ calls are memoized on the argument values.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy import isprime
+from sympy import isprime, perfect_power
 
 from .errors import BudgetExceeded, InvalidPrime, NotCoprime
 
 #: Brent iterations allowed per factorize() call.  Large enough that every
 #: composite of up to ~26 digits splits (worst case: a balanced semiprime
 #: needs on the order of sqrt(p) iterations for its smaller factor p).
+#: Perfect powers such as p**2 are split by root extraction and spend none of
+#: it, whatever their size.
 DEFAULT_BUDGET = 20_000_000
 
 _TRIAL_LIMIT = 10_000
@@ -143,10 +146,13 @@ def _brent_factor(n: int, budget: _Budget) -> int:
 def factorize(n: int, budget: int | None = None) -> Factorization:
     """Complete factorization of n >= 1; empty for n = 1.
 
-    Trial division by primes below 10^4 first, then Brent's method on what
-    survives, certifying every emitted prime with a primality test.  Raises
-    BudgetExceeded when a cofactor resists within the iteration budget; the
-    caller decides whether that means "skip", never "assume prime".
+    Trial division by primes below 10^4 first.  A composite survivor that is
+    a perfect power r**k is replaced by its root r, counted k times, at no
+    cost in budget; Brent's method runs only on survivors that are not
+    perfect powers.  Every emitted prime is certified by a primality test.
+    Raises BudgetExceeded when a cofactor that is not a perfect power resists
+    within the iteration budget; the caller decides whether that means
+    "skip", never "assume prime".
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -168,19 +174,28 @@ def _factorize_cached(n: int, budget: int) -> Factorization | BudgetExceeded:
             counts[p] = counts.get(p, 0) + 1
             rem //= p
     tracker = _Budget(n, budget)
-    stack = [rem] if rem > 1 else []
+    # (cofactor, multiplicity) pairs: a root r of r**k stands for k factors
+    stack = [(rem, 1)] if rem > 1 else []
     while stack:
-        m = stack.pop()
+        m, mult = stack.pop()
         # survivors of trial division below the limit squared are prime
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or isprime(m):
-            counts[m] = counts.get(m, 0) + 1
+            counts[m] = counts.get(m, 0) + mult
+            continue
+        # m has no prime factor below _TRIAL_LIMIT > 2**13, so m = r**k only
+        # for k < bits/13; the root may itself be composite, as in (p*q)**2
+        exponents = _SMALL_PRIMES[: bisect.bisect_right(_SMALL_PRIMES, m.bit_length() // 13)]
+        power = perfect_power(m, candidates=exponents)
+        if power:
+            root, k = power
+            stack.append((root, mult * k))
             continue
         try:
             d = _brent_factor(m, tracker)
         except BudgetExceeded as exc:
             return exc
-        stack.append(d)
-        stack.append(m // d)
+        stack.append((d, mult))
+        stack.append((m // d, mult))
     return Factorization(tuple(sorted(counts.items())))
 
 
@@ -198,33 +213,6 @@ def reverse_digits(n: int) -> int:
     if n < 1:
         raise ValueError("reverse_digits requires n >= 1")
     return int(str(n)[::-1])
-
-
-@dataclass(frozen=True)
-class DigitNumber:
-    """A nonnegative integer paired with its validated decimal digit string."""
-
-    value: int
-    digits: str
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("value must be nonnegative")
-        if not self.digits or int(self.digits) != self.value:
-            raise ValueError("digit string does not re-parse to value")
-        if self.digits != "0" and self.digits.lstrip("0") != self.digits:
-            raise ValueError("leading zero in digit string")
-
-    @classmethod
-    def from_int(cls, value: int) -> "DigitNumber":
-        return cls(value, str(value))
-
-    @property
-    def digit_count(self) -> int:
-        return len(self.digits)
-
-    def reversed(self) -> "DigitNumber":
-        return DigitNumber.from_int(int(self.digits[::-1]))
 
 
 def factorization_sum_of(factorization: Factorization) -> int:

@@ -49,6 +49,11 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert out == canonical_json(json.loads(out)) + "\n"
 
+    def test_json_fifteen_digit_crucial_prime(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "300000000000093", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["n"] == "300000000000093"
+
     def test_json_values(self, capsys):
         _, out, _ = run_cli(capsys, "analyze", "107", "--json")
         doc = json.loads(out)

@@ -177,6 +177,15 @@ class TestAnalyze:
         assert report.order == 3
         assert report.omega0 == 21
 
+    def test_fifteen_digit_crucial_prime(self):
+        # its repetition orders are taken modulo p**2, p = 100000000000031
+        report = analyze(300000000000093)
+        assert [(r.p, r.exp_n, r.exp_reverse) for r in report.records] == [
+            (6529, 0, 1),
+            (19911165569, 0, 1),
+            (100000000000031, 1, 0),
+        ]
+
     def test_json_shape(self):
         d = analyze(126).to_json_dict()
         assert list(d) == [

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from vpal import (
     BudgetExceeded,
-    DigitNumber,
     Factorization,
     InvalidPrime,
     NotCoprime,
@@ -71,6 +70,16 @@ class TestFactorize:
         n = 1000003 * 1000033 * 1000037  # beyond trial division, needs the rho stage
         f = factorize(n)
         assert f.as_dict() == {1000003: 1, 1000033: 1, 1000037: 1}
+
+    @pytest.mark.parametrize("p, e", [(100000000000031, 2), (100000000000031, 3), (10007, 7)])
+    def test_prime_power_spends_no_budget(self, p, e):
+        # Brent's method would need about sqrt(p) iterations; root extraction none
+        assert factorize(p**e, budget=0).as_dict() == {p: e}
+
+    def test_composite_root_is_split(self):
+        assert factorize((1000003 * 1000033) ** 2).as_dict() == {1000003: 2, 1000033: 2}
+        p = 100000000000031
+        assert factorize((10007 * p) ** 3, budget=1_000).as_dict() == {10007: 3, p: 3}
 
     def test_budget_exceeded_on_hard_semiprime(self):
         hard = 1000000000000066600000000000001  # 31-digit prime ("Belphegor")
@@ -228,17 +237,3 @@ class TestDivisors:
         assert divisors(1) == [1]
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert divisors(3542) == sorted(sympy.divisors(3542))
-
-
-class TestDigitNumber:
-    def test_round_trip(self):
-        d = DigitNumber.from_int(560)
-        assert d.digits == "560"
-        assert d.digit_count == 3
-        assert d.reversed().value == 65
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            DigitNumber(56, "056")
-        with pytest.raises(ValueError):
-            DigitNumber(56, "57")

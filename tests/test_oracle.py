@@ -95,6 +95,10 @@ class TestCrossCheck:
             for k in list(range(1, 30)) + [154, 273, 3542]:
                 assert cross_check(n, k), (n, k)
 
+    def test_fifteen_digit_crucial_prime(self):
+        for k in range(1, 7):
+            assert cross_check(300000000000093, k), k
+
     def test_matches_oracle_verdict(self):
         # the weight tuple matches some surviving solution exactly when the
         # concatenation qualifies
