@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import InvalidInput
 from .numbers import factorize, repetition_order, reverse_digits
@@ -90,28 +91,7 @@ def weight_range(p: int, delta: int) -> frozenset[int]:
 
     Two elements exactly when (p, delta) = (2, 1), otherwise three.
     """
-    return frozenset(balance_weight(p, delta, alpha) for alpha in (0, 1, 2))
-
-
-class Preimage(Enum):
-    """Which lift exponents alpha map to a given weight."""
-
-    ZERO = "0"
-    ONE = "1"
-    ZERO_OR_ONE = "0,1"
-    TWO_OR_MORE = ">=2"
-
-
-def weight_preimage(p: int, delta: int, u: int) -> Preimage:
-    if u not in weight_range(p, delta):
-        raise ValueError(f"{u} is not a possible weight for (p={p}, delta={delta})")
-    if (p, delta) == (2, 1):
-        return Preimage.ZERO_OR_ONE if u == 2 else Preimage.TWO_OR_MORE
-    if u == balance_weight(p, delta, 0):
-        return Preimage.ZERO
-    if u == balance_weight(p, delta, 1):
-        return Preimage.ONE
-    return Preimage.TWO_OR_MORE
+    return frozenset(_constraint_table(p, delta, 0))
 
 
 class CaseLabel(Enum):
@@ -130,78 +110,9 @@ class CaseLabel(Enum):
         return f"[{self.value}]"
 
 
-def classify(p: int, delta: int, u: int, mu: int) -> CaseLabel:
-    """Sort the quadruple into exactly one of the seven cases.
-
-    The case determines which divisibility conditions (if any) the prime
-    imposes on the repetition count; [vii] marks weight/exponent combinations
-    that no repetition count can realize.
-    """
-    if mu < 0:
-        raise ValueError("classify requires mu >= 0")
-    pre = weight_preimage(p, delta, u)
-    if mu == 0:
-        if pre is Preimage.ZERO:
-            return CaseLabel.I
-        if pre is Preimage.ONE:
-            return CaseLabel.II
-        if pre is Preimage.ZERO_OR_ONE:
-            return CaseLabel.III
-        return CaseLabel.V
-    if mu == 1:
-        if pre in (Preimage.ONE, Preimage.ZERO_OR_ONE):
-            return CaseLabel.I
-        if pre is Preimage.TWO_OR_MORE:
-            return CaseLabel.IV
-        return CaseLabel.VII
-    return CaseLabel.VI if pre is Preimage.TWO_OR_MORE else CaseLabel.VII
-
-
-@dataclass(frozen=True)
-class CharSolution:
-    """One admissible assignment of balance weights, ordered by crucial prime."""
-
-    values: tuple[int, ...]
-
-
-def solve_characteristic(
-    records: tuple[CrucialPrimeRecord, ...],
-) -> tuple[CharSolution, ...]:
-    """All weight tuples that zero out the signed sum, in lexicographic order.
-
-    Depth-first over the primes; a branch is abandoned as soon as the
-    reachable partial sums exclude zero.
-    """
-    if not records:
-        raise ValueError("solve_characteristic requires at least one record")
-    ranges = [sorted(weight_range(r.p, abs(r.delta))) for r in records]
-    signs = [r.sign for r in records]
-    m = len(records)
-    lo = [0] * (m + 1)
-    hi = [0] * (m + 1)
-    for i in reversed(range(m)):
-        if signs[i] > 0:
-            lo[i] = lo[i + 1] + ranges[i][0]
-            hi[i] = hi[i + 1] + ranges[i][-1]
-        else:
-            lo[i] = lo[i + 1] - ranges[i][-1]
-            hi[i] = hi[i + 1] - ranges[i][0]
-    out: list[CharSolution] = []
-    prefix: list[int] = []
-
-    def walk(i: int, total: int) -> None:
-        if total + lo[i] > 0 or total + hi[i] < 0:
-            return
-        if i == m:
-            out.append(CharSolution(tuple(prefix)))
-            return
-        for u in ranges[i]:
-            prefix.append(u)
-            walk(i + 1, total + signs[i] * u)
-            prefix.pop()
-
-    walk(0, 0)
-    return tuple(out)
+#: The interval [lo, hi] of p-adic orders v of the repetition number that each
+#: of the cases [i] to [vi] allows (hi None: unbounded); [vii] allows none.
+_CASES = dict(zip([(0, 0), (1, 1), (0, 1), (1, None), (2, None), (0, None)], CaseLabel))
 
 
 @dataclass(frozen=True)
@@ -221,7 +132,69 @@ class ConstraintPair:
 
 
 _EMPTY: frozenset[int] = frozenset()
-_ONE: frozenset[int] = frozenset({1})
+_VACUOUS = ConstraintPair(_EMPTY, _EMPTY)
+_IMPOSSIBLE = ConstraintPair(_EMPTY, frozenset({1}))
+
+
+@lru_cache(maxsize=1 << 12)
+def _constraint_table(
+    p: int, delta: int, mu: int, digits: int | None = None, budget: int | None = None
+) -> dict[int, tuple[CaseLabel, ConstraintPair | None]]:
+    """Case and constraint pair of every weight u of (p, delta, mu), by
+    ascending u; without digits, the cases only (pairs None).
+
+    Repeating n multiplies n and its reversal by the same repetition number,
+    so the smaller exponent of p becomes alpha = mu + v, where v is the p-adic
+    order of the repetition number.  u is realized when alpha is one of the
+    lift exponents in {0, 1, >= 2} that give u: an interval [lo, hi] of v.
+    v >= j exactly when repetition_order(p, j, digits) divides k, so the pair
+    requires the order for lo >= 1 and excludes the one for hi + 1.
+
+    The table may compute an order for a weight that no solution uses.  That
+    never adds a BudgetExceeded: either order factors only p - 1 and a power
+    of p, which root extraction splits for free, and analyze factors p - 1
+    anyway when it computes omega_f.
+    """
+    if mu < 0:
+        raise ValueError("classify requires mu >= 0")
+    lifts: dict[int, list[int]] = {}
+    for alpha in (0, 1, 2):  # 2 stands for every alpha >= 2
+        lifts.setdefault(balance_weight(p, delta, alpha), []).append(alpha)
+    table = {}
+    for u, alphas in sorted(lifts.items()):
+        lo = max(alphas[0] - mu, 0)
+        hi = None if alphas[-1] == 2 else alphas[-1] - mu
+        case = _CASES.get((lo, hi), CaseLabel.VII)
+        if digits is None:
+            pair = None
+        elif p in (2, 5):  # p never divides the repetition number: v = 0
+            pair = _VACUOUS if lo == 0 and case is not CaseLabel.VII else _IMPOSSIBLE
+        elif case is CaseLabel.VII:
+            pair = _IMPOSSIBLE
+        else:
+            pair = ConstraintPair(
+                frozenset({repetition_order(p, lo, digits, budget)}) if lo else _EMPTY,
+                _EMPTY if hi is None else frozenset({repetition_order(p, hi + 1, digits, budget)}),
+            )
+        table[u] = (case, pair)
+    return table
+
+
+def _entry(p: int, delta: int, mu: int, u: int, digits=None, budget=None) -> tuple:
+    table = _constraint_table(p, delta, mu, digits, budget)
+    if u not in table:
+        raise ValueError(f"{u} is not a possible weight for (p={p}, delta={delta})")
+    return table[u]
+
+
+def classify(p: int, delta: int, u: int, mu: int) -> CaseLabel:
+    """Sort the quadruple into exactly one of the seven cases.
+
+    The case determines which divisibility conditions (if any) the prime
+    imposes on the repetition count; [vii] marks weight/exponent combinations
+    that no repetition count can realize.
+    """
+    return _entry(p, delta, mu, u)[0]
 
 
 def constraint_pair(
@@ -233,28 +206,53 @@ def constraint_pair(
     pair is either vacuous or impossible; impossible combinations get the
     always-false pair (nothing required, 1 excluded).
     """
-    p = record.p
-    case = classify(p, abs(record.delta), u, record.mu)
-    if case is CaseLabel.VI:
-        return ConstraintPair(_EMPTY, _EMPTY)
-    if case is CaseLabel.VII:
-        return ConstraintPair(_EMPTY, _ONE)
-    if p in (2, 5):
-        if case in (CaseLabel.I, CaseLabel.III):
-            return ConstraintPair(_EMPTY, _EMPTY)
-        return ConstraintPair(_EMPTY, _ONE)
-    if case is CaseLabel.I:
-        return ConstraintPair(_EMPTY, frozenset({repetition_order(p, 1, digits, budget)}))
-    if case is CaseLabel.II:
-        return ConstraintPair(
-            frozenset({repetition_order(p, 1, digits, budget)}),
-            frozenset({repetition_order(p, 2, digits, budget)}),
-        )
-    if case is CaseLabel.III:
-        return ConstraintPair(_EMPTY, frozenset({repetition_order(p, 2, digits, budget)}))
-    if case is CaseLabel.IV:
-        return ConstraintPair(frozenset({repetition_order(p, 1, digits, budget)}), _EMPTY)
-    return ConstraintPair(frozenset({repetition_order(p, 2, digits, budget)}), _EMPTY)
+    return _entry(record.p, abs(record.delta), record.mu, u, digits, budget)[1]
+
+
+@dataclass(frozen=True)
+class CharSolution:
+    """One admissible assignment of balance weights, ordered by crucial prime."""
+
+    values: tuple[int, ...]
+
+
+def solve_characteristic(
+    records: tuple[CrucialPrimeRecord, ...],
+) -> tuple[CharSolution, ...]:
+    """All weight tuples that zero out the signed sum, in lexicographic order.
+
+    Depth-first over the primes; a branch is entered only while the reachable
+    sums include zero, and the last prime's weight is then fixed by the sum.
+    """
+    if not records:
+        raise ValueError("solve_characteristic requires at least one record")
+    weights = [tuple(_constraint_table(r.p, abs(r.delta), r.mu)) for r in records]
+    signs = [r.sign for r in records]
+    last = len(records) - 1
+    # lo[i], hi[i]: the least and greatest signed sum of the weights from i on
+    lo, hi = [0] * (last + 2), [0] * (last + 2)
+    for i in reversed(range(last + 1)):
+        ends = (signs[i] * weights[i][0], signs[i] * weights[i][-1])
+        lo[i] = lo[i + 1] + min(ends)
+        hi[i] = hi[i + 1] + max(ends)
+    out: list[CharSolution] = []
+    prefix: list[int] = []
+
+    def walk(i: int, total: int) -> None:
+        if i == last:
+            u = -signs[i] * total
+            if u in weights[i]:
+                out.append(CharSolution((*prefix, u)))
+            return
+        for u in weights[i]:
+            t = total + signs[i] * u
+            if t + lo[i + 1] <= 0 <= t + hi[i + 1]:
+                prefix.append(u)
+                walk(i + 1, t)
+                prefix.pop()
+
+    walk(0, 0)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -280,16 +278,17 @@ def assemble_constraints(
     budget: int | None = None,
 ) -> SolutionConstraints:
     """Union the per-prime pairs and flag unsatisfiable solutions."""
-    pairs = []
-    cases = []
-    for record, u in zip(records, solution.values, strict=True):
-        cases.append(classify(record.p, abs(record.delta), u, record.mu))
-        pairs.append(constraint_pair(record, u, digits, budget))
+    entries = [
+        _entry(r.p, abs(r.delta), r.mu, u, digits, budget)
+        for r, u in zip(records, solution.values, strict=True)
+    ]
+    cases = tuple(case for case, _ in entries)
+    pairs = tuple(pair for _, pair in entries)
     required = frozenset().union(*(pair.required for pair in pairs))
     excluded = frozenset().union(*(pair.excluded for pair in pairs))
     base = math.lcm(*required) if required else 1
     degenerate = any(base % b == 0 for b in excluded)
-    return SolutionConstraints(solution, required, excluded, degenerate, tuple(pairs), tuple(cases))
+    return SolutionConstraints(solution, required, excluded, degenerate, pairs, cases)
 
 
 def in_divisibility_set(

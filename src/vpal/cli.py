@@ -360,7 +360,11 @@ def main(argv: list[str] | None = None) -> int:
     budget = args.budget
     env_budget = os.environ.get("VPAL_FACTOR_BUDGET")
     if env_budget is not None:
-        budget = int(env_budget)
+        try:
+            budget = int(env_budget)
+        except ValueError:
+            print(f"error: VPAL_FACTOR_BUDGET is not an integer: {env_budget!r}", file=sys.stderr)
+            return EXIT_INVALID
     if budget is None:
         budget = DEFAULT_BUDGET
     output_format = args.format

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Union
 
 from .characteristic import (
@@ -92,16 +91,20 @@ def evaluate(comb: IndicatorCombination, x: int) -> int:
 
 def expand_solution(constraints: SolutionConstraints) -> IndicatorCombination:
     """Indicator of one solution's divisibility set, by inclusion-exclusion
-    over the excluded moduli on top of the lcm of the required ones."""
+    over the excluded moduli on top of the lcm of the required ones.
+
+    Multiplies out I_base * prod(1 - I_b) one excluded b at a time, merging
+    terms with equal moduli as they appear.
+    """
     if constraints.degenerate:
         raise ValueError("cannot expand a degenerate solution")
     base = math.lcm(*constraints.required) if constraints.required else 1
-    excluded = sorted(constraints.excluded)
-    pairs = []
-    for r in range(len(excluded) + 1):
-        for subset in combinations(excluded, r):
-            pairs.append((math.lcm(base, *subset), (-1) ** r))
-    return IndicatorCombination.collect(pairs)
+    terms = {base: 1}
+    for b in constraints.excluded:
+        for modulus, coeff in list(terms.items()):
+            merged = math.lcm(modulus, b)
+            terms[merged] = terms.get(merged, 0) - coeff
+    return IndicatorCombination.collect(terms.items())
 
 
 def fundamental_period(comb: IndicatorCombination) -> int:

@@ -189,25 +189,8 @@ def search(
     budget: int | None = None,
     chunk_size: int = 512,
 ) -> tuple[SearchHit, ...]:
-    """Scan eligible n in 2..range_end for the property, in increasing order.
-
-    Work is sharded into contiguous chunks of n; the hit list is identical
-    whatever the worker count.
-    """
-    if range_end < 2:
-        raise InvalidInput("range_end must be >= 2")
-    chunks = [
-        (start, min(start + chunk_size, range_end + 1), prop.value, budget)
-        for start in range(2, range_end + 1, chunk_size)
-    ]
-    if workers <= 1:
-        results = map(_scan_chunk, chunks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, chunks))
-    hits = [hit for chunk_hits in results for hit in chunk_hits]
-    hits.sort(key=lambda h: h.n)
-    return tuple(hits)
+    """Every hit of search_iter(), collected."""
+    return tuple(search_iter(range_end, prop, workers, budget, chunk_size))
 
 
 def search_iter(
@@ -217,8 +200,12 @@ def search_iter(
     budget: int | None = None,
     chunk_size: int = 512,
 ):
-    """Like search(), but yields hits as their chunk completes (still in
-    increasing n order)."""
+    """Scan eligible n in 2..range_end for the property, yielding hits in
+    increasing order as their chunk completes.
+
+    Work is sharded into contiguous chunks of n; the hits are identical
+    whatever the worker count.
+    """
     if range_end < 2:
         raise InvalidInput("range_end must be >= 2")
     chunks = [

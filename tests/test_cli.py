@@ -178,3 +178,10 @@ class TestConfig:
         code, _, err = run_cli(capsys, "--budget", "1000000", "analyze", "126")
         assert code == EXIT_INVALID
         assert "at least 10000" in err
+
+    def test_malformed_env_budget_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("VPAL_FACTOR_BUDGET", "abc")
+        code, out, err = run_cli(capsys, "analyze", "12")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == "error: VPAL_FACTOR_BUDGET is not an integer: 'abc'\n"

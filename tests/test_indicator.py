@@ -3,15 +3,20 @@
 import json
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpal import (
     INFINITE,
+    CharSolution,
     IndicatorCombination,
     Infinite,
     InvalidInput,
+    SolutionConstraints,
     analyze,
     assemble_constraints,
     crucial_primes,
@@ -64,6 +69,27 @@ class TestExpandSolution:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             expand_solution(constraints_for(126, 0))
+
+    # products of 2, 3, 5, 7 with at most three factors: many moduli divide
+    # one another or share an lcm with the base
+    _moduli = st.builds(math.prod, st.lists(st.sampled_from([2, 3, 5, 7]), max_size=3))
+
+    @given(st.frozensets(_moduli, max_size=3), st.frozensets(_moduli, max_size=7))
+    @settings(max_examples=300)
+    def test_matches_inclusion_exclusion_over_all_subsets(self, required, excluded):
+        base = math.lcm(*required) if required else 1
+        degenerate = any(base % b == 0 for b in excluded)
+        cons = SolutionConstraints(CharSolution(()), required, excluded, degenerate, (), ())
+        if degenerate:
+            with pytest.raises(ValueError):
+                expand_solution(cons)
+            return
+        reference = IndicatorCombination.collect(
+            (math.lcm(base, *subset), (-1) ** r)
+            for r in range(len(excluded) + 1)
+            for subset in combinations(sorted(excluded), r)
+        )
+        assert expand_solution(cons) == reference
 
 
 class TestIndicatorFor:
