@@ -19,6 +19,7 @@ from .numbers import (
     DEFAULT_BUDGET,
     Factorization,
     concat,
+    cyclotomic_value,
     digit_count,
     divisors,
     factorization_sum,
@@ -27,6 +28,7 @@ from .numbers import (
     is_v_palindrome,
     multiplicative_order,
     padic_order,
+    repetition_factorization,
     repetition_number,
     repetition_order,
     reverse_digits,

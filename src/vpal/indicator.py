@@ -23,18 +23,27 @@ from .characteristic import (
 from .numbers import Factorization, digit_count, factorize, repetition_order, reverse_digits
 
 
-class Infinite:
-    """Order of a number none of whose repeated concatenations qualifies."""
+class Singleton:
+    """Base of a marker class with exactly one instance: calling the class
+    returns that instance, and its repr is the class's label."""
 
-    _instance = None
+    label = ""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._instance = object.__new__(cls)
 
     def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
         return cls._instance
 
     def __repr__(self) -> str:
-        return "INFINITE"
+        return self.label
+
+
+class Infinite(Singleton):
+    """Order of a number none of whose repeated concatenations qualifies."""
+
+    label = "INFINITE"
 
 
 INFINITE = Infinite()

@@ -15,30 +15,23 @@ from typing import Union
 
 from .characteristic import balance_weight, check_eligible, in_divisibility_set
 from .errors import BudgetExceeded, InvalidInput
-from .indicator import AnalysisReport, analyze, evaluate, indicator_for, type_of
+from .indicator import AnalysisReport, Singleton, analyze, evaluate, indicator_for, type_of
 from .numbers import (
     digit_count,
     factorization_sum_of,
     factorize,
     is_v_palindrome,
     padic_order,
+    repetition_factorization,
     repetition_number,
     reverse_digits,
 )
 
 
-class Unverified:
+class Unverified(Singleton):
     """Stands where the factoring budget ran out; compares equal to nothing."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNVERIFIED"
+    label = "UNVERIFIED"
 
 
 UNVERIFIED = Unverified()
@@ -55,15 +48,19 @@ def brute_force_flag(
     both integers from scratch.  Accelerated mode factors n, its reversal, and
     the repetition number separately and merges exponents; this is sound
     because the concatenation is n times the repetition number and, when 10
-    does not divide n, reversal distributes over the repetition.  Returns
-    UNVERIFIED instead of raising when the factoring budget runs out.
+    does not divide n, reversal distributes over the repetition.  The
+    repetition number is factored piece by piece along its cyclotomic factors
+    Phi_m(10) (repetition_factorization), each piece with the full budget.
+    Returns UNVERIFIED instead of raising when the factoring budget runs out:
+    in direct mode on either integer, in accelerated mode on n, its reversal
+    or a single Phi_m(10) piece.
     """
     check_eligible(n)
     if k < 1:
         raise ValueError("brute_force_flag requires k >= 1")
     try:
         if accelerated:
-            rep = factorize(repetition_number(k, digit_count(n)), budget)
+            rep = repetition_factorization(k, digit_count(n), budget)
             left = factorization_sum_of(factorize(n, budget).merge(rep))
             right = factorization_sum_of(factorize(reverse_digits(n), budget).merge(rep))
             return left == right

@@ -197,8 +197,7 @@ def test_criterion_4_oracle_equivalence():
             for row in verify(n, 25, accelerated=True):
                 assert row.predicted == (evaluate(printed, row.k) == 1), (n, row.k)
                 assert row.agrees is not False, (n, row.k)
-                if digit_count(concat(n, row.k)) <= 25:
-                    assert not isinstance(row.observed, Unverified), (n, row.k)
+                assert not isinstance(row.observed, Unverified), (n, row.k)
 
 
 def test_criterion_5_repetition_order_properties():

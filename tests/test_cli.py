@@ -77,7 +77,7 @@ class TestVerify:
     def test_strict_budget_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("VPAL_FACTOR_BUDGET", "10000")
         code, out, _ = run_cli(
-            capsys, "verify", "48", "--kmax", "19", "--strict", "--accelerated"
+            capsys, "verify", "48", "--kmax", "22", "--strict", "--accelerated"
         )
         assert code == EXIT_BUDGET
         assert "UNVERIFIED" in out

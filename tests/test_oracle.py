@@ -75,9 +75,21 @@ class TestVerify:
             assert r.agrees in (True, None)
 
     def test_row_agreement_semantics(self):
-        rows = verify(48, 19, budget=10_000, accelerated=True)
+        rows = verify(48, 22, budget=10_000, accelerated=True)
         skipped = [r for r in rows if r.agrees is None]
         assert skipped and all(isinstance(r.observed, Unverified) for r in skipped)
+
+    def test_accelerated_sweep_below_1000(self):
+        # 72 two-digit n to k = 36 and 720 three-digit n to k = 22: 18,432 rows,
+        # every one decided and in agreement
+        rows = 0
+        for n in range(10, 1000):
+            if not eligible(n):
+                continue
+            for row in verify(n, 36 if n < 100 else 22, accelerated=True):
+                assert row.agrees is True, (n, row.k, row.observed)
+                rows += 1
+        assert rows == 18_432
 
     def test_unverified_is_a_singleton(self):
         assert Unverified() is UNVERIFIED
