@@ -1,13 +1,14 @@
 """Command-line front end: analysis reports, oracle verification, reference
 tables, counterexample searches, and spectrum utilities.
 
-Exit codes: 0 success, 1 verification disagreement, 2 invalid input,
-3 budget exhaustion under --strict.
+Exit codes: 0 success, 1 verification disagreement or disagreeing spectrum
+periods, 2 invalid input, 3 budget exhaustion under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -253,14 +254,19 @@ def _parse_samples(text: str) -> PeriodicSamples:
         if not token:
             raise InvalidInput(f"malformed sample list: {text!r}")
         try:
-            values.append(int(token))
-            continue
+            value = int(token)
         except ValueError:
-            pass
+            try:
+                value = complex(token)
+            except ValueError:
+                raise InvalidInput(f"cannot parse sample {token!r}") from None
         try:
-            values.append(complex(token))
-        except ValueError:
-            raise InvalidInput(f"cannot parse sample {token!r}") from None
+            finite = cmath.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InvalidInput(f"sample {token!r} is not a finite complex number")
+        values.append(value)
     if not values:
         raise InvalidInput("empty sample list")
     return PeriodicSamples(len(values), tuple(values))
@@ -275,11 +281,17 @@ def _fmt_coeff(coeff) -> str:
 def cmd_spectrum(args, config: CliConfig) -> int:
     if args.spectrum_command == "periods":
         samples = _parse_samples(args.samples)
-        g = samples_to_spectrum(samples)
+        periods = {
+            "support_period": support_period(samples_to_spectrum(samples)),
+            "gcd_period": gcd_period(samples),
+            "naive_fundamental_period": naive_fundamental_period(samples),
+        }
+        lines = [f"{name} = {period}" for name, period in periods.items()]
         print(f"window = {samples.period}")
-        print(f"support_period = {support_period(g)}")
-        print(f"gcd_period = {gcd_period(samples)}")
-        print(f"naive_fundamental_period = {naive_fundamental_period(samples)}")
+        print("\n".join(lines))
+        if len(set(periods.values())) > 1:
+            print(f"error: the periods disagree: {', '.join(lines)}", file=sys.stderr)
+            return EXIT_DISAGREEMENT
         return EXIT_OK
     if args.spectrum_command == "indicator":
         g = indicator_spectrum(args.a)

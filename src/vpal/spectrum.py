@@ -11,16 +11,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Union
 
 from .errors import PeriodMismatch
 from .indicator import IndicatorCombination
 from .numbers import divisors
 
-#: Inverse-transform coefficients below this magnitude count as zero.
+#: Transform coefficients below this magnitude count as zero.  A window of
+#: length w with largest sample magnitude V carries rounding error up to about
+#: w * epsilon * V in every coefficient, so the transforms raise the threshold
+#: to that floor when it is larger: for long windows of large samples.
 ZERO_TOLERANCE = 1e-9
 
 Coefficient = Union[int, Fraction, float, complex]
@@ -131,21 +136,38 @@ def support_period(g: SpectralMap) -> int:
     return math.lcm(*(root.den for root, _ in g.items())) if len(g) else 1
 
 
+def _transform(values, sign: int) -> list[complex]:
+    """(1/w) * sum over x of values[x] * e(sign*r*x/w), for r = 0..w-1.
+
+    A window of length w only uses the w distinct w-th roots of unity, so one
+    table of w exponentials serves all w**2 terms.  Each table entry is the
+    float that exp(sign * 2*pi*i * (r*x mod w) / w) gives for that term, and
+    the terms are summed in order of x, so every coefficient is bit for bit
+    the one the per-term formula gives.
+    """
+    w = len(values)
+    vals = [_to_complex(v) for v in values]
+    roots = [cmath.exp(sign * 2j * math.pi * j / w) for j in range(w)]
+    return [sum(map(mul, vals, [roots[r * x % w] for x in range(w)])) / w for r in range(w)]
+
+
+def _zero_threshold(values, tolerance: float) -> float:
+    """The tolerance, raised to the rounding floor of a transform of values."""
+    scale = max(abs(_to_complex(v)) for v in values)
+    return max(tolerance, len(values) * sys.float_info.epsilon * scale)
+
+
 def samples_to_spectrum(s: PeriodicSamples, tolerance: float = ZERO_TOLERANCE) -> SpectralMap:
     """Invert one window of samples into root-of-unity coefficients.
 
-    Direct O(period^2) inverse transform; the interpolant of the result
-    reproduces the samples on all of the integers.
+    O(period^2) inverse transform over one table of the period-th roots of
+    unity; the interpolant of the result reproduces the samples on all of the
+    integers.
     """
     w = s.period
-    entries: dict[RootIndex, complex] = {}
-    for r in range(w):
-        coeff = (
-            sum(_to_complex(v) * cmath.exp(-2j * math.pi * (r * x % w) / w) for x, v in enumerate(s.values))
-            / w
-        )
-        entries[RootIndex.reduced(r, w)] = coeff
-    return SpectralMap(entries, tolerance)
+    coeffs = _transform(s.values, -1)
+    entries = {RootIndex.reduced(r, w): coeff for r, coeff in enumerate(coeffs)}
+    return SpectralMap(entries, _zero_threshold(s.values, tolerance))
 
 
 def spectrum_to_samples(g: SpectralMap, omega: int) -> PeriodicSamples:
@@ -170,14 +192,9 @@ def gcd_period(s: PeriodicSamples, tolerance: float = ZERO_TOLERANCE) -> int:
     zeta**(-x*k) for k = 1..period, take the active k's, and divide the window
     length by the gcd of those indices and the window length."""
     w = s.period
-    active = []
-    for k in range(1, w + 1):
-        coeff = (
-            sum(_to_complex(v) * cmath.exp(2j * math.pi * (k * x % w) / w) for x, v in enumerate(s.values))
-            / w
-        )
-        if abs(coeff) > tolerance:
-            active.append(k)
+    coeffs = _transform(s.values, +1)
+    threshold = _zero_threshold(s.values, tolerance)
+    active = [k for k in range(1, w + 1) if abs(coeffs[k % w]) > threshold]
     return w // math.gcd(w, *active)
 
 

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from vpal.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, CliConfig, canonical_json, main
+from vpal.cli import (
+    EXIT_BUDGET,
+    EXIT_DISAGREEMENT,
+    EXIT_INVALID,
+    EXIT_OK,
+    CliConfig,
+    canonical_json,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +168,32 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", "periods", "--samples", "1,zebra")
         assert code == EXIT_INVALID
         assert "zebra" in err
+
+    @pytest.mark.parametrize(
+        "samples",
+        ["nan,1", "1,inf,1,inf", "1+infj,2", "-inf", "1" + "0" * 400],
+        ids=["nan", "inf", "infj", "minus-inf", "int-too-large-for-float"],
+    )
+    def test_non_finite_samples_rejected(self, capsys, samples):
+        code, out, err = run_cli(capsys, "spectrum", "periods", f"--samples={samples}")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and "not a finite complex number" in err
+
+    def test_disagreeing_periods_exit_1(self, capsys):
+        # 2**53 + 1 and 2**53 round to the same float, so both transforms see
+        # a constant window while the exact shift check sees period 2
+        code, out, err = run_cli(
+            capsys, "spectrum", "periods", "--samples=9007199254740993,9007199254740992"
+        )
+        assert code == EXIT_DISAGREEMENT
+        assert out == (
+            "window = 2\nsupport_period = 1\ngcd_period = 1\nnaive_fundamental_period = 2\n"
+        )
+        assert err == (
+            "error: the periods disagree: support_period = 1, gcd_period = 1, "
+            "naive_fundamental_period = 2\n"
+        )
 
 
 class TestConfig:

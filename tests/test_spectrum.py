@@ -1,5 +1,6 @@
 """Root-of-unity spectra: conversions, period formulas, and components."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from vpal import (
     spectrum_to_samples,
     support_period,
 )
+from vpal.spectrum import ZERO_TOLERANCE, _to_complex, _transform
 
 
 class TestRootIndex:
@@ -97,6 +99,43 @@ class TestSamplesToSpectrum:
             assert abs(g.coefficient(root) - float(coeff)) < 1e-12
 
 
+def _direct_transform(values, sign):
+    """Reference: one complex exponential per (frequency, sample) pair, in the
+    form the transforms used before they shared a table of roots."""
+    w = len(values)
+    base = 2j if sign > 0 else -2j
+    return [
+        sum(_to_complex(v) * cmath.exp(base * math.pi * (r * x % w) / w) for x, v in enumerate(values))
+        / w
+        for r in range(w)
+    ]
+
+
+class TestTransformTable:
+    """The table of roots changes no coefficient, not even a signed zero."""
+
+    @staticmethod
+    def _windows():
+        rng = random.Random(252)
+        for w in [*range(1, 65), *range(84, 253, 42)]:
+            yield [rng.randint(-4, 4) for _ in range(w)]
+            yield [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(w)]
+            yield [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(w)]
+
+    def test_bit_identical_to_direct_formula(self):
+        for values in self._windows():
+            w = len(values)
+            s = PeriodicSamples(w, tuple(values))
+            inverse = _direct_transform(values, -1)
+            expected = SpectralMap({RootIndex.reduced(r, w): c for r, c in enumerate(inverse)})
+            got = samples_to_spectrum(s)
+            assert [(r, repr(c)) for r, c in got.items()] == [(r, repr(c)) for r, c in expected.items()]
+            forward = _direct_transform(values, +1)
+            assert list(map(repr, _transform(values, +1))) == list(map(repr, forward))
+            active = [k for k in range(1, w + 1) if abs(forward[k % w]) > ZERO_TOLERANCE]
+            assert gcd_period(s) == w // math.gcd(w, *active)
+
+
 class TestSpectrumToSamples:
     def test_alternating(self):
         s = spectrum_to_samples(SpectralMap({RootIndex(1, 2): 1}), 2)
@@ -148,6 +187,20 @@ class TestPeriodFormulas:
             w = rng.randint(1, 48)
             vals = tuple(rng.randint(-2, 2) for _ in range(w))
             s = PeriodicSamples(w, vals)
+            assert support_period(samples_to_spectrum(s)) == gcd_period(s) == naive_fundamental_period(s)
+
+    def test_large_integer_samples(self):
+        # float rounding in a coefficient grows with the samples; a fixed
+        # 1e-9 threshold read it as a fourth root of unity here
+        s = PeriodicSamples(4, (10**10, 3, 10**10, 3))
+        assert support_period(samples_to_spectrum(s)) == gcd_period(s) == 2
+
+    @pytest.mark.parametrize("bound", [10**9, 2**31, 10**15, 2**53])
+    def test_three_formulas_agree_on_large_integer_windows(self, bound):
+        rng = random.Random(f"large:{bound}")
+        for _ in range(100):
+            block = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 24))]
+            s = PeriodicSamples(len(block) * 3, tuple(block * 3))
             assert support_period(samples_to_spectrum(s)) == gcd_period(s) == naive_fundamental_period(s)
 
     def test_shift_fixes_iff_multiple_of_fundamental(self):
