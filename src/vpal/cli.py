@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import gc
 import json
 import math
 import os
@@ -36,6 +37,9 @@ from .spectrum import (
     samples_to_spectrum,
     support_period,
 )
+
+# keep full collections off the import-time heap, most of it sympy's
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1

@@ -33,7 +33,9 @@ class InvalidPrime(VpalError):
 
 
 class InvalidInput(VpalError):
-    """The integer is a multiple of 10 or a palindrome, so it cannot be analyzed."""
+    """An input outside what the package handles: an integer that is a
+    multiple of 10 or a palindrome, or samples that are not finite or too
+    large to transform."""
 
 
 class PeriodMismatch(VpalError):

@@ -201,27 +201,25 @@ class AnalysisReport:
 def analyze(n: int, budget: int | None = None) -> AnalysisReport:
     """Run the whole pipeline for one number.
 
-    Steps: factor n and its reversal, pick out the crucial primes, solve the
-    characteristic equation, assemble constraints per solution, discard the
-    degenerate ones, expand the survivors into the canonical combination, and
-    read off order and periods.
+    Steps: factor n and its reversal, pick out the crucial primes from those
+    two factorizations, then hand the records to _pipeline, which solves the
+    characteristic equation, assembles constraints per solution, discards the
+    degenerate ones, expands the survivors into the canonical combination and
+    computes omega_f and omega_b; order and omega0 are read off the
+    combination.
+
+    _pipeline is memoized on the records with every sign flipped when the
+    first one is negative (_signature), so n and its reversal, whose records
+    differ exactly by that flip, share one run.  The report keeps n's own
+    records.
     """
     check_eligible(n)
     rev = reverse_digits(n)
     d = digit_count(n)
     fn = factorize(n, budget)
     fr = factorize(rev, budget)
-    records = crucial_primes(n, budget)
-    solutions = solve_characteristic(records)
-    constraints = tuple(assemble_constraints(s, records, d, budget) for s in solutions)
-    live = [c for c in constraints if not c.degenerate]
-    comb = IndicatorCombination.collect(
-        pair for c in live for pair in expand_solution(c).terms
-    )
-    omega_f_parts = [repetition_order(r.p, 2, d, budget) for r in records if r.p not in (2, 5)]
-    moduli = set()
-    for c in live:
-        moduli |= c.required | c.excluded
+    records = crucial_primes(n, budget, (fn, fr))
+    constraints, comb, bound_f, bound_b = _pipeline(_signature(records), d, budget)
     return AnalysisReport(
         n=n,
         reverse=rev,
@@ -233,8 +231,45 @@ def analyze(n: int, budget: int | None = None) -> AnalysisReport:
         combination=comb,
         order=order(comb),
         omega0=fundamental_period(comb),
-        omega_f=math.lcm(*omega_f_parts) if omega_f_parts else 1,
-        omega_b=math.lcm(*moduli) if moduli else 1,
+        omega_f=bound_f,
+        omega_b=bound_b,
+    )
+
+
+def _signature(records: tuple[CrucialPrimeRecord, ...]) -> tuple[CrucialPrimeRecord, ...]:
+    """The records with exp_n and exp_reverse swapped on every one when the
+    first record's sign is negative.
+
+    Flipping every sign leaves the characteristic equation, and so everything
+    _pipeline computes, unchanged; the relative signs stay.
+    """
+    if records[0].sign > 0:
+        return records
+    return tuple(CrucialPrimeRecord(r.p, r.exp_reverse, r.exp_n) for r in records)
+
+
+@lru_cache(maxsize=1 << 12)
+def _pipeline(
+    records: tuple[CrucialPrimeRecord, ...], digits: int, budget: int | None
+) -> tuple[tuple[SolutionConstraints, ...], IndicatorCombination, int, int]:
+    """Constraints per characteristic solution, the combination of the
+    nondegenerate ones, omega_f and omega_b, for crucial primes at a digit
+    width."""
+    solutions = solve_characteristic(records)
+    constraints = tuple(assemble_constraints(s, records, digits, budget) for s in solutions)
+    live = [c for c in constraints if not c.degenerate]
+    comb = IndicatorCombination.collect(
+        pair for c in live for pair in expand_solution(c).terms
+    )
+    omega_f_parts = [repetition_order(r.p, 2, digits, budget) for r in records if r.p not in (2, 5)]
+    moduli = set()
+    for c in live:
+        moduli |= c.required | c.excluded
+    return (
+        constraints,
+        comb,
+        math.lcm(*omega_f_parts) if omega_f_parts else 1,
+        math.lcm(*moduli) if moduli else 1,
     )
 
 

@@ -72,9 +72,6 @@ class Factorization:
             out *= p**e
         return out
 
-    def exponent(self, p: int) -> int:
-        return self.as_dict().get(p, 0)
-
     def merge(self, other: "Factorization") -> "Factorization":
         """Factorization of the product: exponents added prime by prime."""
         counts = self.as_dict()

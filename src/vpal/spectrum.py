@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping, Union
 
-from .errors import PeriodMismatch
+from .errors import InvalidInput, PeriodMismatch
 from .indicator import IndicatorCombination
 from .numbers import divisors
 
@@ -152,9 +152,23 @@ def _transform(values, sign: int) -> list[complex]:
 
 
 def _zero_threshold(values, tolerance: float) -> float:
-    """The tolerance, raised to the rounding floor of a transform of values."""
-    scale = max(abs(_to_complex(v)) for v in values)
-    return max(tolerance, len(values) * sys.float_info.epsilon * scale)
+    """The tolerance, raised to the rounding floor of a transform of values.
+
+    Raises InvalidInput when w * max|v| exceeds the largest float, for a
+    window of length w: the transform's sums could then overflow to an
+    infinite or NaN coefficient.
+    """
+    w = len(values)
+    try:
+        scale = max(abs(_to_complex(v)) for v in values)
+    except OverflowError:
+        scale = math.inf
+    if w * scale > sys.float_info.max:
+        raise InvalidInput(
+            f"samples too large to transform: the window length {w} times the largest "
+            "magnitude exceeds the largest float"
+        )
+    return max(tolerance, w * sys.float_info.epsilon * scale)
 
 
 def samples_to_spectrum(s: PeriodicSamples, tolerance: float = ZERO_TOLERANCE) -> SpectralMap:
@@ -162,12 +176,14 @@ def samples_to_spectrum(s: PeriodicSamples, tolerance: float = ZERO_TOLERANCE) -
 
     O(period^2) inverse transform over one table of the period-th roots of
     unity; the interpolant of the result reproduces the samples on all of the
-    integers.
+    integers.  Raises InvalidInput for samples so large that the sums could
+    overflow.
     """
     w = s.period
+    threshold = _zero_threshold(s.values, tolerance)
     coeffs = _transform(s.values, -1)
     entries = {RootIndex.reduced(r, w): coeff for r, coeff in enumerate(coeffs)}
-    return SpectralMap(entries, _zero_threshold(s.values, tolerance))
+    return SpectralMap(entries, threshold)
 
 
 def spectrum_to_samples(g: SpectralMap, omega: int) -> PeriodicSamples:
@@ -192,8 +208,8 @@ def gcd_period(s: PeriodicSamples, tolerance: float = ZERO_TOLERANCE) -> int:
     zeta**(-x*k) for k = 1..period, take the active k's, and divide the window
     length by the gcd of those indices and the window length."""
     w = s.period
-    coeffs = _transform(s.values, +1)
     threshold = _zero_threshold(s.values, tolerance)
+    coeffs = _transform(s.values, +1)
     active = [k for k in range(1, w + 1) if abs(coeffs[k % w]) > threshold]
     return w // math.gcd(w, *active)
 

@@ -180,6 +180,18 @@ class TestSpectrum:
         assert out == ""
         assert err.startswith("error: ") and "not a finite complex number" in err
 
+    @pytest.mark.parametrize(
+        "samples",
+        ["1e308,1e308,-1e308,-1e308", "1.7e308+1.7e308j"],
+        ids=["sums-reach-2e308", "magnitude-beyond-float"],
+    )
+    def test_samples_overflowing_the_transform_rejected(self, capsys, samples):
+        # every sample is finite, but the transform would overflow
+        code, out, err = run_cli(capsys, "spectrum", "periods", f"--samples={samples}")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "too large" in err
+
     def test_disagreeing_periods_exit_1(self, capsys):
         # 2**53 + 1 and 2**53 round to the same float, so both transforms see
         # a constant window while the exact shift check sees period 2

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from vpal import (
     INFINITE,
     CharSolution,
+    CrucialPrimeRecord,
     IndicatorCombination,
     Infinite,
     InvalidInput,
@@ -31,9 +32,11 @@ from vpal import (
     omega_b,
     omega_f,
     order,
+    reverse_digits,
     solve_characteristic,
     type_of,
 )
+from vpal.indicator import _pipeline, _signature
 
 I126 = IndicatorCombination(((154, 1), (3542, -1)))
 
@@ -240,6 +243,72 @@ class TestAnalyze:
         assert d["order"] == "infinity"
         assert d["omega0"] == "1"
         assert d["indicator"] == []
+
+
+def _eligible(n):
+    return n % 10 != 0 and reverse_digits(n) != n
+
+
+def _flipped(records, indices):
+    return tuple(
+        CrucialPrimeRecord(r.p, r.exp_reverse, r.exp_n) if i in indices else r
+        for i, r in enumerate(records)
+    )
+
+
+# (p, exp_n, exp_reverse) with distinct primes and unequal exponents
+_records = st.lists(
+    st.tuples(
+        st.sampled_from([2, 3, 5, 7, 11, 13, 37, 101]), st.integers(0, 3), st.integers(0, 3)
+    ).filter(lambda t: t[1] != t[2]),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda t: t[0],
+).map(lambda rows: tuple(CrucialPrimeRecord(*row) for row in sorted(rows)))
+
+
+class TestSharedPipeline:
+    """n and its reversal have the same records up to flipping every sign, so
+    analyze runs _pipeline once for both."""
+
+    def test_reversal_after_n_matches_cold(self):
+        checked = 0
+        for n in range(1, 3000):
+            rev = reverse_digits(n)
+            if not (_eligible(n) and _eligible(rev)):
+                continue
+            analyze.cache_clear()
+            _pipeline.cache_clear()
+            analyze(n)
+            hits = _pipeline.cache_info().hits
+            warm = analyze(rev).to_json_dict()
+            assert _pipeline.cache_info().hits == hits + 1
+            analyze.cache_clear()
+            _pipeline.cache_clear()
+            assert warm == analyze(rev).to_json_dict(), n
+            checked += 1
+        assert checked == 2572
+
+    @given(_records)
+    @settings(max_examples=300)
+    def test_solutions_invariant_under_flipping_every_sign(self, records):
+        flipped = _flipped(records, range(len(records)))
+        assert solve_characteristic(flipped) == solve_characteristic(records)
+        assert _signature(flipped) == _signature(records)
+
+    def test_flipping_one_sign_changes_the_key(self):
+        for n in range(1, 3000):
+            if not _eligible(n):
+                continue
+            records = crucial_primes(n)
+            if len(records) == 1:
+                continue  # flipping its one sign flips every sign
+            for i in range(len(records)):
+                assert _signature(_flipped(records, {i})) != _signature(records), (n, i)
+        # and the key must keep them: for 126 every single flip changes the solutions
+        records = crucial_primes(126)
+        for i in range(len(records)):
+            assert solve_characteristic(_flipped(records, {i})) != solve_characteristic(records)
 
 
 class TestCanonicalForm:

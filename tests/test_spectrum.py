@@ -3,12 +3,14 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from vpal import (
     IndicatorCombination,
+    InvalidInput,
     PeriodicSamples,
     PeriodMismatch,
     RootIndex,
@@ -97,6 +99,30 @@ class TestSamplesToSpectrum:
         assert {r for r, _ in g.items()} == {r for r, _ in exact.items()}
         for root, coeff in exact.items():
             assert abs(g.coefficient(root) - float(coeff)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1e308, 1e308, -1e308, -1e308),
+            (sys.float_info.max / 2, 0, 0),
+            (1.7e308 + 1.7e308j,),
+            (10**400,),
+        ],
+        ids=["sums-overflow", "w-times-max", "abs-overflows", "int-beyond-float"],
+    )
+    def test_window_beyond_float_range_rejected(self, values):
+        s = PeriodicSamples(len(values), values)
+        with pytest.raises(InvalidInput, match="too large"):
+            samples_to_spectrum(s)
+        with pytest.raises(InvalidInput, match="too large"):
+            gcd_period(s)
+
+    def test_window_at_float_range_transforms_finitely(self):
+        big = sys.float_info.max / 4
+        s = PeriodicSamples(4, (big, big, -big, -big))
+        g = samples_to_spectrum(s)
+        assert all(cmath.isfinite(c) for _, c in g.items())
+        assert support_period(g) == gcd_period(s) == naive_fundamental_period(s) == 4
 
 
 def _direct_transform(values, sign):
