@@ -69,12 +69,10 @@ from .spectrum import (
     RootIndex,
     SpectralMap,
     combination_spectrum,
-    eval_spectrum,
     gcd_period,
     indicator_spectrum,
     naive_fundamental_period,
     net_coefficients,
-    ramanujan_components,
     samples_to_spectrum,
     spectrum_to_samples,
     support_period,
@@ -83,7 +81,6 @@ from .oracle import (
     UNVERIFIED,
     SearchHit,
     SearchProperty,
-    TypeInvarianceRecord,
     Unverified,
     VerificationRow,
     anomaly_witness,
@@ -91,7 +88,6 @@ from .oracle import (
     cross_check,
     search,
     search_iter,
-    type_invariance_scan,
     verify,
 )
 

@@ -15,11 +15,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput, PeriodMismatch, VpalError
-from .indicator import AnalysisReport, Infinite, analyze
+from .indicator import AnalysisReport, analyze
 from .numbers import DEFAULT_BUDGET
 from .oracle import (
     SearchProperty,
@@ -54,22 +53,6 @@ PRESET_NOTES = {
     117: "the source table prints omega0 = 2045, inconsistent with its own "
     "combination I_2054, whose fundamental period is 2054",
 }
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    output_format: str = "pretty"
-    factor_budget: int = DEFAULT_BUDGET
-    workers: int = 1
-    strict: bool = False
-
-    def __post_init__(self):
-        if self.output_format not in ("pretty", "json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.factor_budget < 10_000:
-            raise ValueError("factor budget must be at least 10000")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def canonical_json(obj) -> str:
@@ -134,45 +117,40 @@ def render_report(report: AnalysisReport) -> str:
         lines.append(_columns(rows))
     lines.append("")
     lines.append(f"I = {report.combination}")
-    lines.append(f"c(n) = {'infinity' if isinstance(report.order, Infinite) else report.order}")
+    lines.append(f"c(n) = {report.order}")
     lines.append(f"omega0 = {report.omega0}")
     lines.append(f"omega_f = {report.omega_f}")
     lines.append(f"omega_b = {report.omega_b}")
     return "\n".join(lines)
 
 
-def cmd_analyze(args, config: CliConfig) -> int:
-    report = analyze(args.n, config.factor_budget)
-    if config.output_format == "json":
+def cmd_analyze(args) -> int:
+    report = analyze(args.n, args.budget)
+    if args.format == "json":
         print(canonical_json(report.to_json_dict()))
     else:
         print(render_report(report))
     return EXIT_OK
 
 
-def cmd_verify(args, config: CliConfig) -> int:
-    rows = verify(args.n, args.kmax, config.factor_budget, accelerated=args.accelerated)
+def cmd_verify(args) -> int:
+    rows = verify(args.n, args.kmax, args.budget, accelerated=args.accelerated)
     disagreements = sum(1 for r in rows if r.agrees is False)
     unverified = sum(1 for r in rows if r.agrees is None)
 
     def obs(row):
-        return "UNVERIFIED" if isinstance(row.observed, Unverified) else str(row.observed)
+        return "UNVERIFIED" if isinstance(row.observed, Unverified) else row.observed
 
     def agr(row):
-        return "SKIPPED" if row.agrees is None else str(row.agrees)
+        return "SKIPPED" if row.agrees is None else row.agrees
 
-    if config.output_format == "json":
+    if args.format == "json":
         payload = [
-            {
-                "k": str(r.k),
-                "predicted": r.predicted,
-                "observed": "UNVERIFIED" if isinstance(r.observed, Unverified) else r.observed,
-                "agrees": "SKIPPED" if r.agrees is None else r.agrees,
-            }
+            {"k": str(r.k), "predicted": r.predicted, "observed": obs(r), "agrees": agr(r)}
             for r in rows
         ]
         print(canonical_json({"n": str(args.n), "rows": payload}))
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["k", "predicted", "observed", "agrees"])
         for r in rows:
@@ -180,7 +158,7 @@ def cmd_verify(args, config: CliConfig) -> int:
     else:
         table = [["k", "predicted", "observed", "agrees"]]
         for r in rows:
-            table.append([str(r.k), str(r.predicted), obs(r), agr(r)])
+            table.append([str(r.k), str(r.predicted), str(obs(r)), str(agr(r))])
         print(_columns(table))
         print(
             f"summary: {len(rows)} rows, {disagreements} disagreements, "
@@ -188,31 +166,31 @@ def cmd_verify(args, config: CliConfig) -> int:
         )
     if disagreements:
         return EXIT_DISAGREEMENT
-    if config.strict and unverified:
+    if args.strict and unverified:
         return EXIT_BUDGET
     return EXIT_OK
 
 
-def cmd_table(args, config: CliConfig) -> int:
+def cmd_table(args) -> int:
     ns = PRESET_PAPER if args.preset == "paper" else tuple(args.numbers)
     if not ns:
         raise InvalidInput("no numbers given; pass N... or --preset paper")
-    reports = [analyze(n, config.factor_budget) for n in ns]
+    reports = [analyze(n, args.budget) for n in ns]
     notes = PRESET_NOTES if args.preset == "paper" else {}
-    if config.output_format == "json":
+    if args.format == "json":
         print(canonical_json([r.to_json_dict() for r in reports]))
         return EXIT_OK
-    if config.output_format == "csv":
+    if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", "I", "c", "omega0"])
         for r in reports:
-            c = "infinity" if isinstance(r.order, Infinite) else str(r.order)
-            writer.writerow([r.n, str(r.combination), c, r.omega0])
+            writer.writerow([r.n, r.combination, r.order, r.omega0])
         return EXIT_OK
     rows = [["n", "I", "c", "omega0", ""]]
     for r in reports:
-        c = "infinity" if isinstance(r.order, Infinite) else str(r.order)
-        rows.append([str(r.n), str(r.combination), c, str(r.omega0), "[*]" if r.n in notes else ""])
+        rows.append(
+            [str(r.n), str(r.combination), str(r.order), str(r.omega0), "[*]" if r.n in notes else ""]
+        )
     print(_columns(rows))
     for n, note in sorted(notes.items()):
         if any(r.n == n for r in reports):
@@ -220,11 +198,11 @@ def cmd_table(args, config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_search(args, config: CliConfig) -> int:
+def cmd_search(args) -> int:
     prop = SearchProperty(args.property)
-    for hit in search_iter(args.until, prop, workers=config.workers, budget=config.factor_budget):
+    for hit in search_iter(args.until, prop, workers=args.workers, budget=args.budget):
         report = hit.evidence
-        if config.output_format == "json":
+        if args.format == "json":
             payload = {
                 "n": str(hit.n),
                 "property": prop.value,
@@ -282,30 +260,33 @@ def _fmt_coeff(coeff) -> str:
     return format(coeff, ".6g")
 
 
-def cmd_spectrum(args, config: CliConfig) -> int:
-    if args.spectrum_command == "periods":
-        samples = _parse_samples(args.samples)
-        periods = {
-            "support_period": support_period(samples_to_spectrum(samples)),
-            "gcd_period": gcd_period(samples),
-            "naive_fundamental_period": naive_fundamental_period(samples),
-        }
-        lines = [f"{name} = {period}" for name, period in periods.items()]
-        print(f"window = {samples.period}")
-        print("\n".join(lines))
-        if len(set(periods.values())) > 1:
-            print(f"error: the periods disagree: {', '.join(lines)}", file=sys.stderr)
-            return EXIT_DISAGREEMENT
-        return EXIT_OK
-    if args.spectrum_command == "indicator":
-        g = indicator_spectrum(args.a)
-        print(f"spectrum of the divisibility-by-{args.a} indicator: {len(g)} roots")
-        for root, coeff in g.items():
-            print(f"  e({root.num}/{root.den}): {_fmt_coeff(coeff)}")
-        print(f"support_period = {support_period(g)}")
-        return EXIT_OK
-    # of-indicator
-    report = analyze(args.n, config.factor_budget)
+def cmd_spectrum_periods(args) -> int:
+    samples = _parse_samples(args.samples)
+    periods = {
+        "support_period": support_period(samples_to_spectrum(samples)),
+        "gcd_period": gcd_period(samples),
+        "naive_fundamental_period": naive_fundamental_period(samples),
+    }
+    lines = [f"{name} = {period}" for name, period in periods.items()]
+    print(f"window = {samples.period}")
+    print("\n".join(lines))
+    if len(set(periods.values())) > 1:
+        print(f"error: the periods disagree: {', '.join(lines)}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
+    return EXIT_OK
+
+
+def cmd_spectrum_indicator(args) -> int:
+    g = indicator_spectrum(args.a)
+    print(f"spectrum of the divisibility-by-{args.a} indicator: {len(g)} roots")
+    for root, coeff in g.items():
+        print(f"  e({root.num}/{root.den}): {_fmt_coeff(coeff)}")
+    print(f"support_period = {support_period(g)}")
+    return EXIT_OK
+
+
+def cmd_spectrum_of_indicator(args) -> int:
+    report = analyze(args.n, args.budget)
     nets = net_coefficients(report.combination)
     print(f"I = {report.combination}")
     print(f"active orders ({len(nets)}): {', '.join(str(d) for d in nets)}")
@@ -313,6 +294,16 @@ def cmd_spectrum(args, config: CliConfig) -> int:
         print(f"  order {den}: net {net}")
     print(f"support_period = {math.lcm(*nets) if nets else 1}")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget",
         type=int,
-        default=None,
+        default=DEFAULT_BUDGET,
         help="factoring iteration cap (env VPAL_FACTOR_BUDGET overrides)",
     )
     parser.add_argument(
@@ -336,10 +327,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full analysis report for one number")
+    p.set_defaults(handler=cmd_analyze)
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true", help="shorthand for --format json")
+    p.add_argument(
+        "--json",
+        action="store_const",
+        dest="format",
+        const="json",
+        default=argparse.SUPPRESS,
+        help="shorthand for --format json",
+    )
 
     p = sub.add_parser("verify", help="compare predictions against brute force")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("n", type=int)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--strict", action="store_true", help="exit 3 when any row is UNVERIFIED")
@@ -350,21 +350,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("table", help="indicator/order/period table for several numbers")
+    p.set_defaults(handler=cmd_table)
     p.add_argument("numbers", type=int, nargs="*")
     p.add_argument("--preset", choices=("paper",), help="use the built-in 18-row list")
 
     p = sub.add_parser("search", help="scan for counterexample properties")
+    p.set_defaults(handler=cmd_search)
     p.add_argument("property", choices=[sp.value for sp in SearchProperty])
     p.add_argument("--until", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("spectrum", help="root-of-unity spectrum utilities")
     spectrum_sub = p.add_subparsers(dest="spectrum_command", required=True)
     q = spectrum_sub.add_parser("periods", help="three period computations for a sample window")
+    q.set_defaults(handler=cmd_spectrum_periods)
     q.add_argument("--samples", required=True, help="comma-separated values, e.g. 1,0,1,0")
     q = spectrum_sub.add_parser("indicator", help="spectrum of a single divisibility indicator")
+    q.set_defaults(handler=cmd_spectrum_indicator)
     q.add_argument("a", type=int)
     q = spectrum_sub.add_parser("of-indicator", help="spectral view of a number's indicator")
+    q.set_defaults(handler=cmd_spectrum_of_indicator)
     q.add_argument("n", type=int)
 
     return parser
@@ -373,35 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = args.budget
     env_budget = os.environ.get("VPAL_FACTOR_BUDGET")
     if env_budget is not None:
         try:
-            budget = int(env_budget)
+            args.budget = int(env_budget)
         except ValueError:
             print(f"error: VPAL_FACTOR_BUDGET is not an integer: {env_budget!r}", file=sys.stderr)
             return EXIT_INVALID
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    output_format = args.format
-    if getattr(args, "json", False):
-        output_format = "json"
+    if args.budget < 10_000:
+        print("error: factor budget must be at least 10000", file=sys.stderr)
+        return EXIT_INVALID
     try:
-        config = CliConfig(
-            output_format=output_format,
-            factor_budget=budget,
-            workers=getattr(args, "workers", 1),
-            strict=getattr(args, "strict", False),
-        )
-        if args.command == "analyze":
-            return cmd_analyze(args, config)
-        if args.command == "verify":
-            return cmd_verify(args, config)
-        if args.command == "table":
-            return cmd_table(args, config)
-        if args.command == "search":
-            return cmd_search(args, config)
-        return cmd_spectrum(args, config)
+        return args.handler(args)
     except (InvalidInput, PeriodMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -45,6 +45,9 @@ class Infinite(Singleton):
 
     label = "INFINITE"
 
+    def __str__(self) -> str:
+        return "infinity"
+
 
 INFINITE = Infinite()
 
@@ -190,7 +193,7 @@ class AnalysisReport:
             "indicator": [
                 {"c": str(modulus), "lambda": str(coeff)} for modulus, coeff in self.combination.terms
             ],
-            "order": "infinity" if isinstance(self.order, Infinite) else str(self.order),
+            "order": str(self.order),
             "omega0": str(self.omega0),
             "omega_f": str(self.omega_f),
             "omega_b": str(self.omega_b),

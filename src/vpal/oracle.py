@@ -15,7 +15,7 @@ from typing import Union
 
 from .characteristic import balance_weight, check_eligible, in_divisibility_set
 from .errors import BudgetExceeded, InvalidInput
-from .indicator import AnalysisReport, Singleton, analyze, evaluate, indicator_for, type_of
+from .indicator import AnalysisReport, Singleton, analyze, evaluate, indicator_for
 from .numbers import (
     digit_count,
     factorization_sum_of,
@@ -37,6 +37,9 @@ class Unverified(Singleton):
 UNVERIFIED = Unverified()
 
 Flag = Union[bool, Unverified]
+
+#: How many consecutive n one search chunk covers, serially or in a pool worker.
+CHUNK_SIZE = 512
 
 
 def brute_force_flag(
@@ -184,10 +187,9 @@ def search(
     prop: SearchProperty,
     workers: int = 1,
     budget: int | None = None,
-    chunk_size: int = 512,
 ) -> tuple[SearchHit, ...]:
     """Every hit of search_iter(), collected."""
-    return tuple(search_iter(range_end, prop, workers, budget, chunk_size))
+    return tuple(search_iter(range_end, prop, workers, budget))
 
 
 def search_iter(
@@ -195,7 +197,6 @@ def search_iter(
     prop: SearchProperty,
     workers: int = 1,
     budget: int | None = None,
-    chunk_size: int = 512,
 ):
     """Scan eligible n in 2..range_end for the property, yielding hits in
     increasing order as their chunk completes.
@@ -206,8 +207,8 @@ def search_iter(
     if range_end < 2:
         raise InvalidInput("range_end must be >= 2")
     chunks = [
-        (start, min(start + chunk_size, range_end + 1), prop.value, budget)
-        for start in range(2, range_end + 1, chunk_size)
+        (start, min(start + CHUNK_SIZE, range_end + 1), prop.value, budget)
+        for start in range(2, range_end + 1, CHUNK_SIZE)
     ]
     if workers <= 1:
         for chunk in chunks:
@@ -216,50 +217,3 @@ def search_iter(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk_hits in pool.map(_scan_chunk, chunks):
                 yield from chunk_hits
-
-
-@dataclass(frozen=True)
-class TypeInvarianceRecord:
-    """All base/count splittings of one qualifying number's digit string, with
-    the type each splitting assigns."""
-
-    m: int
-    representations: tuple[tuple[int, int], ...]
-    types: tuple[tuple[int, ...] | None, ...]
-    consistent: bool
-
-
-def _splittings(m: int) -> list[tuple[int, int]]:
-    s = str(m)
-    out = []
-    for width in range(1, len(s) + 1):
-        if len(s) % width == 0 and s[:width] * (len(s) // width) == s:
-            out.append((int(s[:width]), len(s) // width))
-    return out
-
-
-def type_invariance_scan(limit: int, budget: int | None = None) -> tuple[TypeInvarianceRecord, ...]:
-    """Empirically check that a qualifying number's type does not depend on
-    how its digit string is split into a base and a repetition count.
-
-    Every splitting of a non-palindromic string has a non-palindromic base, so
-    each one can be typed; the record is consistent when all splittings give
-    the same weight tuple.  Evidence only, not a proof.
-    """
-    out = []
-    for m in range(12, limit + 1):
-        if not _eligible(m):
-            continue
-        try:
-            if not is_v_palindrome(m, budget):
-                continue
-        except BudgetExceeded:
-            continue
-        reps = _splittings(m)
-        types = []
-        for base, k in reps:
-            sol = type_of(base, k, budget)
-            types.append(sol.values if sol is not None else None)
-        consistent = None not in types and len(set(types)) == 1
-        out.append(TypeInvarianceRecord(m, tuple(reps), tuple(types), consistent))
-    return tuple(out)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -22,10 +21,11 @@ from .errors import InvalidInput, PeriodMismatch
 from .indicator import IndicatorCombination
 from .numbers import divisors
 
-#: Transform coefficients below this magnitude count as zero.  A window of
-#: length w with largest sample magnitude V carries rounding error up to about
-#: w * epsilon * V in every coefficient, so the transforms raise the threshold
-#: to that floor when it is larger: for long windows of large samples.
+#: Transform coefficients below this magnitude count as zero, and non-exact
+#: samples closer than this count as equal.  A window of length w with largest
+#: sample magnitude V carries rounding error up to about w * epsilon * V in
+#: every coefficient, so the transforms raise their threshold to that floor
+#: when it is larger: for long windows of large samples.
 ZERO_TOLERANCE = 1e-9
 
 Coefficient = Union[int, Fraction, float, complex]
@@ -65,9 +65,6 @@ class RootIndex:
 
     def as_complex(self) -> complex:
         return cmath.exp(2j * math.pi * self.num / self.den)
-
-    def power(self, x: int) -> complex:
-        return cmath.exp(2j * math.pi * (self.num * x % self.den) / self.den)
 
 
 class SpectralMap:
@@ -123,11 +120,6 @@ class PeriodicSamples:
             raise ValueError("need exactly one value per residue")
 
 
-def eval_spectrum(g: SpectralMap, x: int) -> complex:
-    """The finite sum of coeff * root**x over the support."""
-    return sum((_to_complex(c) * root.power(x) for root, c in g.items()), 0j)
-
-
 def support_period(g: SpectralMap) -> int:
     """lcm of the primitive orders over the support; 1 for the empty map.
 
@@ -151,12 +143,12 @@ def _transform(values, sign: int) -> list[complex]:
     return [sum(map(mul, vals, [roots[r * x % w] for x in range(w)])) / w for r in range(w)]
 
 
-def _zero_threshold(values, tolerance: float) -> float:
-    """The tolerance, raised to the rounding floor of a transform of values.
+def _largest_magnitude(values) -> float:
+    """max|v| over the window.
 
     Raises InvalidInput when w * max|v| exceeds the largest float, for a
-    window of length w: the transform's sums could then overflow to an
-    infinite or NaN coefficient.
+    window of length w: the transform's sums, or the differences of two
+    samples, could then overflow to an infinite or NaN value.
     """
     w = len(values)
     try:
@@ -165,13 +157,18 @@ def _zero_threshold(values, tolerance: float) -> float:
         scale = math.inf
     if w * scale > sys.float_info.max:
         raise InvalidInput(
-            f"samples too large to transform: the window length {w} times the largest "
-            "magnitude exceeds the largest float"
+            f"samples too large: the window length {w} times the largest magnitude "
+            "exceeds the largest float"
         )
-    return max(tolerance, w * sys.float_info.epsilon * scale)
+    return scale
 
 
-def samples_to_spectrum(s: PeriodicSamples, tolerance: float = ZERO_TOLERANCE) -> SpectralMap:
+def _zero_threshold(values) -> float:
+    """ZERO_TOLERANCE, raised to the rounding floor of a transform of values."""
+    return max(ZERO_TOLERANCE, len(values) * sys.float_info.epsilon * _largest_magnitude(values))
+
+
+def samples_to_spectrum(s: PeriodicSamples) -> SpectralMap:
     """Invert one window of samples into root-of-unity coefficients.
 
     O(period^2) inverse transform over one table of the period-th roots of
@@ -180,7 +177,7 @@ def samples_to_spectrum(s: PeriodicSamples, tolerance: float = ZERO_TOLERANCE) -
     overflow.
     """
     w = s.period
-    threshold = _zero_threshold(s.values, tolerance)
+    threshold = _zero_threshold(s.values)
     coeffs = _transform(s.values, -1)
     entries = {RootIndex.reduced(r, w): coeff for r, coeff in enumerate(coeffs)}
     return SpectralMap(entries, threshold)
@@ -203,12 +200,12 @@ def spectrum_to_samples(g: SpectralMap, omega: int) -> PeriodicSamples:
     return PeriodicSamples(omega, tuple(acc))
 
 
-def gcd_period(s: PeriodicSamples, tolerance: float = ZERO_TOLERANCE) -> int:
+def gcd_period(s: PeriodicSamples) -> int:
     """Fundamental period via frequency indices: write the window in the basis
     zeta**(-x*k) for k = 1..period, take the active k's, and divide the window
     length by the gcd of those indices and the window length."""
     w = s.period
-    threshold = _zero_threshold(s.values, tolerance)
+    threshold = _zero_threshold(s.values)
     coeffs = _transform(s.values, +1)
     active = [k for k in range(1, w + 1) if abs(coeffs[k % w]) > threshold]
     return w // math.gcd(w, *active)
@@ -216,10 +213,14 @@ def gcd_period(s: PeriodicSamples, tolerance: float = ZERO_TOLERANCE) -> int:
 
 def naive_fundamental_period(s: PeriodicSamples) -> int:
     """Smallest divisor of the window length whose cyclic shift fixes the
-    samples.  Exact comparison for int/Fraction entries, tolerance otherwise."""
+    samples.  Exact comparison for int/Fraction entries, ZERO_TOLERANCE
+    otherwise; raises InvalidInput for non-exact samples so large that their
+    differences could overflow."""
     w = s.period
     vals = s.values
     exact = all(_is_exact(v) for v in vals)
+    if not exact:
+        _largest_magnitude(vals)
     for t in divisors(w):
         if exact:
             ok = all(vals[(i + t) % w] == vals[i] for i in range(w))
@@ -231,15 +232,6 @@ def naive_fundamental_period(s: PeriodicSamples) -> int:
         if ok:
             return t
     return w
-
-
-def ramanujan_components(g: SpectralMap) -> dict[int, SpectralMap]:
-    """Split the support by primitive order: the component at order d is the
-    part of the function spanned by the primitive d-th roots of unity."""
-    by_den: dict[int, dict[RootIndex, Coefficient]] = defaultdict(dict)
-    for root, coeff in g.items():
-        by_den[root.den][root] = coeff
-    return {den: SpectralMap(entries) for den, entries in sorted(by_den.items())}
 
 
 def indicator_spectrum(a: int) -> SpectralMap:

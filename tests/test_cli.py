@@ -9,7 +9,6 @@ from vpal.cli import (
     EXIT_DISAGREEMENT,
     EXIT_INVALID,
     EXIT_OK,
-    CliConfig,
     canonical_json,
     main,
 )
@@ -209,13 +208,22 @@ class TestSpectrum:
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CliConfig(output_format="xml")
-        with pytest.raises(ValueError):
-            CliConfig(factor_budget=100)
-        with pytest.raises(ValueError):
-            CliConfig(workers=0)
+    @pytest.mark.parametrize(
+        "argv",
+        [("search", "conj1", "--until", "20", "--workers", "0"), ("--format", "xml", "analyze", "12")],
+        ids=["workers-0", "format-xml"],
+    )
+    def test_argparse_rejects(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_budget_flag_below_floor_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "--budget", "100", "analyze", "12")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "at least 10000" in err
 
     def test_env_overrides_flag(self, capsys, monkeypatch):
         # a budget this small cannot even pass config validation, proving the

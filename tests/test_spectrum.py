@@ -1,4 +1,4 @@
-"""Root-of-unity spectra: conversions, period formulas, and components."""
+"""Root-of-unity spectra: conversions, period formulas, and net coefficients."""
 
 import cmath
 import math
@@ -16,7 +16,6 @@ from vpal import (
     RootIndex,
     SpectralMap,
     combination_spectrum,
-    eval_spectrum,
     evaluate,
     fundamental_period,
     gcd_period,
@@ -24,12 +23,16 @@ from vpal import (
     indicator_spectrum,
     naive_fundamental_period,
     net_coefficients,
-    ramanujan_components,
     samples_to_spectrum,
     spectrum_to_samples,
     support_period,
 )
 from vpal.spectrum import ZERO_TOLERANCE, _to_complex, _transform
+
+
+def eval_spectrum(g, x):
+    """The finite sum of coeff * root**x over the support."""
+    return sum((_to_complex(c) * RootIndex.reduced(r.num * x, r.den).as_complex() for r, c in g.items()), 0j)
 
 
 class TestRootIndex:
@@ -43,10 +46,6 @@ class TestRootIndex:
             RootIndex(2, 4)
         with pytest.raises(ValueError):
             RootIndex(5, 4)
-
-    def test_power_wraps_exponent(self):
-        root = RootIndex(1, 3)
-        assert abs(root.power(7) - root.as_complex()) < 1e-12
 
 
 class TestEvalSpectrum:
@@ -207,6 +206,11 @@ class TestPeriodFormulas:
         assert naive_fundamental_period(PeriodicSamples(4, (1, 0, 1, 0))) == 2
         assert naive_fundamental_period(PeriodicSamples(6, (1, 2, 3, 1, 2, 3))) == 3
 
+    def test_naive_rejects_window_beyond_float_range(self):
+        # |1.7e308+1.7e308j - 0j| is beyond the largest float
+        with pytest.raises(InvalidInput, match="too large"):
+            naive_fundamental_period(PeriodicSamples(2, (1.7e308 + 1.7e308j, 0j)))
+
     def test_three_formulas_agree_on_random_windows(self):
         rng = random.Random(31337)
         for _ in range(60):
@@ -246,37 +250,6 @@ class TestPeriodFormulas:
         window = 2 * w0
         vals = tuple(evaluate(comb, x) for x in range(window))
         assert naive_fundamental_period(PeriodicSamples(window, vals)) == w0
-
-
-class TestRamanujanComponents:
-    def test_indicator_of_four(self):
-        comps = ramanujan_components(indicator_spectrum(4))
-        assert sorted(comps) == [1, 2, 4]
-        for den, comp in comps.items():
-            assert all(root.den == den for root, _ in comp.items())
-
-    def test_single_root(self):
-        comps = ramanujan_components(SpectralMap({RootIndex(1, 3): 2.0}))
-        assert sorted(comps) == [3]
-
-    def test_net_coefficients_of_difference(self):
-        comb = IndicatorCombination(((2, 1), (6, -1)))
-        nets = net_coefficients(comb)
-        assert nets == {
-            1: Fraction(1, 3),
-            2: Fraction(1, 3),
-            3: Fraction(-1, 6),
-            6: Fraction(-1, 6),
-        }
-        comps = ramanujan_components(combination_spectrum(comb))
-        assert sorted(comps) == [1, 2, 3, 6]
-        assert comps[1].coefficient(RootIndex(0, 1)) == Fraction(1, 3)
-        assert comps[2].coefficient(RootIndex(1, 2)) == Fraction(1, 3)
-
-    def test_component_lcm_is_support_period(self):
-        for n in (48, 56, 126):
-            g = combination_spectrum(indicator_for(n))
-            assert math.lcm(*ramanujan_components(g)) == support_period(g)
 
 
 class TestIndicatorSpectrum:
@@ -331,6 +304,15 @@ class TestCombinationSpectrum:
             want = evaluate(comb, x)
             assert abs(got - want) < 1e-6
             assert round(got.real) in (0, 1)
+
+    def test_net_coefficients_of_difference(self):
+        nets = net_coefficients(IndicatorCombination(((2, 1), (6, -1))))
+        assert nets == {
+            1: Fraction(1, 3),
+            2: Fraction(1, 3),
+            3: Fraction(-1, 6),
+            6: Fraction(-1, 6),
+        }
 
     def test_net_criterion_on_random_combinations(self):
         rng = random.Random(404)
