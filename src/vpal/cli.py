@@ -37,7 +37,7 @@ from .spectrum import (
     support_period,
 )
 
-# keep full collections off the import-time heap, most of it sympy's
+# keep full collections off the import-time heap (modules, classes, tables)
 gc.freeze()
 
 EXIT_OK = 0
@@ -399,7 +399,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: stop quietly, with
+        # stdout on devnull so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

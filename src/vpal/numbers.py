@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy import isprime, perfect_power
-
 from .errors import BudgetExceeded, InvalidPrime, NotCoprime
 
 #: Brent iterations allowed per factorize() call.  Large enough that every
@@ -37,6 +35,175 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+_PRIMORIAL_47 = math.prod(_SMALL_PRIMES[:15])  # 2 * 3 * 5 * ... * 47
+
+#: (bound, bases): strong probable-prime tests to these bases decide
+#: primality for every n below the bound.  These are the minimal sets listed
+#: at miller-rabin.appspot.com and by Sorenson & Webster (arXiv:1509.00864),
+#: the same ones sympy's isprime runs; bases >= n act through n's residue.
+_MR_BASES = (
+    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (
+        7999252175582851,
+        (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805),
+    ),
+    (
+        585226005592931977,
+        (2, 123635709730000, 9233062284813009, 43835965440333360, 761179012939631437,
+         1263739024124850375),
+    ),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
+
+#: One base per hash bucket, enough below 4296595241 (M. Forisek and
+#: J. Jancina, "Fast Primality Testing for Integers That Fit into a Machine
+#: Word", 2015), with the hash as sympy computes it on unbounded integers.
+_MR_BASES_32 = (
+    15591, 2018, 166, 7429, 8064, 16045, 10503, 4399, 1949, 1295, 2776, 3620, 560, 3128,
+    5212, 2657, 2300, 2021, 4652, 1471, 9336, 4018, 2398, 20462, 10277, 8028, 2213,
+    6219, 620, 3763, 4852, 5012, 3185, 1333, 6227, 5298, 1074, 2391, 5113, 7061, 803,
+    1269, 3875, 422, 751, 580, 4729, 10239, 746, 2951, 556, 2206, 3778, 481, 1522, 3476,
+    481, 2487, 3266, 5633, 488, 3373, 6441, 3344, 17, 15105, 1490, 4154, 2036, 1882,
+    1813, 467, 3307, 14042, 6371, 658, 1005, 903, 737, 1887, 7447, 1888, 2848, 1784,
+    7559, 3400, 951, 13969, 4304, 177, 41, 19875, 3110, 13221, 8726, 571, 7043, 6943,
+    1199, 352, 6435, 165, 1169, 3315, 978, 233, 3003, 2562, 2994, 10587, 10030, 2377,
+    1902, 5354, 4447, 1555, 263, 27027, 2283, 305, 669, 1912, 601, 6186, 429, 1930,
+    14873, 1784, 1661, 524, 3577, 236, 2360, 6146, 2850, 55637, 1753, 4178, 8466, 222,
+    2579, 2743, 2031, 2226, 2276, 374, 2132, 813, 23788, 1610, 4422, 5159, 1725, 3597,
+    3366, 14336, 579, 165, 1375, 10018, 12616, 9816, 1371, 536, 1867, 10864, 857, 2206,
+    5788, 434, 8085, 17618, 727, 3639, 1595, 4944, 2129, 2029, 8195, 8344, 6232, 9183,
+    8126, 1870, 3296, 7455, 8947, 25017, 541, 19115, 368, 566, 5674, 411, 522, 1027,
+    8215, 2050, 6544, 10049, 614, 774, 2333, 3007, 35201, 4706, 1152, 1785, 1028, 1540,
+    3743, 493, 4474, 2521, 26845, 8354, 864, 18915, 5465, 2447, 42, 4511, 1660, 166,
+    1249, 6259, 2553, 304, 272, 7286, 73, 6554, 899, 2816, 5197, 13330, 7054, 2818,
+    3199, 811, 922, 350, 7514, 4452, 3449, 2663, 4708, 418, 1621, 1171, 3471, 88, 11345,
+    412, 1559, 194,
+)
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin: False when one of the bases proves the odd n > 2 composite."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
+        a %= n
+        if a < 2:
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+            if x == 1:
+                return False
+        else:
+            return False
+    return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test on odd n > 2 with Selfridge's parameters (Baillie &
+    Wagstaff, Math. Comp. 35, 1980, method A): P = 1 and the first D in
+    5, -7, 9, ... with Jacobi symbol (D/n) = -1."""
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and D % n:
+            return False
+        # a square n has no such D; rule it out once the search runs long
+        if D == 13 and math.isqrt(n) ** 2 == n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    # U, V, Qk = U_i, V_i, Q**i mod n, for i the bits of k read so far
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(k)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U, V = (U >> 1) % n, (V >> 1) % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def _isprime(n: int) -> bool:
+    """Primality of n, decided as sympy 1.14's isprime decides it without
+    gmpy2: exact below 3317044064679887385961981 (strong probable-prime tests
+    on bases proven sufficient there), strong BPSW above (base-2 Miller-Rabin
+    and a strong Lucas test), for which no composite that passes is known."""
+    if n < _TRIAL_LIMIT:
+        i = bisect.bisect_left(_SMALL_PRIMES, n)
+        return i < len(_SMALL_PRIMES) and _SMALL_PRIMES[i] == n
+    if math.gcd(n, _PRIMORIAL_47) != 1:
+        return False
+    if n < 341531:
+        return _strong_probable_prime(n, (9345883071009581737,))
+    if n < 4296595241:
+        h = ((n >> 16) ^ n) * 0x45D9F3B
+        h = ((h >> 16) ^ h) * 0x45D9F3B
+        return _strong_probable_prime(n, (_MR_BASES_32[((h >> 16) ^ h) & 255],))
+    for bound, bases in _MR_BASES:
+        if n < bound:
+            return _strong_probable_prime(n, bases)
+    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
+
+
+def _perfect_power(m: int, exponents) -> tuple[int, int] | None:
+    """Some (root, k) with root**k == m and k among the exponents, or None."""
+    for k in exponents:
+        if k == 2:
+            root = math.isqrt(m)
+        else:
+            # integer Newton iteration, falling from an overestimate to the floor
+            root = 1 << -(-m.bit_length() // k)
+            while True:
+                step = ((k - 1) * root + m // root ** (k - 1)) // k
+                if step >= root:
+                    break
+                root = step
+        if root**k == m:
+            return root, k
+    return None
 
 
 @dataclass(frozen=True)
@@ -146,7 +313,10 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
     Trial division by primes below 10^4 first.  A composite survivor that is
     a perfect power r**k is replaced by its root r, counted k times, at no
     cost in budget; Brent's method runs only on survivors that are not
-    perfect powers.  Every emitted prime is certified by a primality test.
+    perfect powers.  Every emitted prime is certified by _isprime: a proof
+    below 3.3*10**24 (strong probable-prime tests on bases known to suffice
+    there), a strong BPSW test above, as sympy's isprime decides; no
+    composite is known to pass strong BPSW.
     Raises BudgetExceeded when a cofactor that is not a perfect power resists
     within the iteration budget; the caller decides whether that means
     "skip", never "assume prime".
@@ -176,13 +346,13 @@ def _factorize_cached(n: int, budget: int) -> Factorization | BudgetExceeded:
     while stack:
         m, mult = stack.pop()
         # survivors of trial division below the limit squared are prime
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or isprime(m):
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or _isprime(m):
             counts[m] = counts.get(m, 0) + mult
             continue
         # m has no prime factor below _TRIAL_LIMIT > 2**13, so m = r**k only
         # for k < bits/13; the root may itself be composite, as in (p*q)**2
         exponents = _SMALL_PRIMES[: bisect.bisect_right(_SMALL_PRIMES, m.bit_length() // 13)]
-        power = perfect_power(m, candidates=exponents)
+        power = _perfect_power(m, exponents)
         if power:
             root, k = power
             stack.append((root, mult * k))
@@ -357,7 +527,7 @@ def repetition_order(p: int, alpha: int, digits: int, budget: int | None = None)
     at least alpha exactly when t divides k.  Always > 1, because by choice of
     e0 the base is not congruent to 1 at the target power of p.
     """
-    if p in (2, 5) or not isprime(p):
+    if p in (2, 5) or not _isprime(p):
         raise InvalidPrime(f"repetition_order requires a prime other than 2 and 5, got {p}")
     if alpha < 1 or digits < 1:
         raise ValueError("repetition_order requires alpha >= 1 and digits >= 1")

@@ -8,7 +8,6 @@ the two is evidence, not tautology.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -214,6 +213,9 @@ def search_iter(
         for chunk in chunks:
             yield from _scan_chunk(chunk)
     else:
+        # imported here: only pooled scans pay for the process-pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk_hits in pool.map(_scan_chunk, chunks):
                 yield from chunk_hits

@@ -1,6 +1,10 @@
 """Command-line behaviour: rendering, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,15 @@ from vpal.cli import (
     canonical_json,
     main,
 )
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports vpal from this checkout."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
 
 
 def run_cli(capsys, *argv):
@@ -239,3 +252,27 @@ class TestConfig:
         assert code == EXIT_INVALID
         assert out == ""
         assert err == "error: VPAL_FACTOR_BUDGET is not an integer: 'abc'\n"
+
+
+class TestProcess:
+    def test_import_loads_no_sympy_and_no_process_pool(self):
+        probe = (
+            "import sys, vpal.cli; "
+            "print(sorted(m for m in ('sympy', 'concurrent.futures.process') if m in sys.modules))"
+        )
+        result = run_python("-c", probe, capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"
+
+    def test_closed_stdout_ends_quietly(self):
+        # regression: a reader that closes the pipe early (`| head -1`) made
+        # the command print a BrokenPipeError traceback and exit 1
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = run_python(
+                "-m", "vpal.cli", "--format", "json", "table", "--preset", "paper",
+                stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")

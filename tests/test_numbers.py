@@ -30,6 +30,21 @@ from vpal import (
     repetition_order,
     reverse_digits,
 )
+from vpal.numbers import _isprime, _strong_lucas_probable_prime
+
+#: Bounds below which a fixed set of strong probable-prime bases decides
+#: primality; above the last one the test is strong BPSW.
+BASE_SET_BOUNDS = (
+    341531,
+    4296595241,
+    350269456337,
+    55245642489451,
+    7999252175582851,
+    585226005592931977,
+    2**64,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 class TestReverseDigits:
@@ -86,6 +101,19 @@ class TestFactorize:
         p = 100000000000031
         assert factorize((10007 * p) ** 3, budget=1_000).as_dict() == {10007: 3, p: 3}
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            (10007 * 10009) ** 6,  # r**6 with r composite
+            (100003 * 1000000007) ** 3,
+            10007**10,  # roots taken at several exponents: 2, then 5
+            100000000000031**6,
+            (10007**2 * 100000000000031) ** 3,
+        ],
+    )
+    def test_power_roots_match_sympy(self, n):
+        assert factorize(n, budget=100_000).as_dict() == sympy.factorint(n)
+
     def test_budget_exceeded_on_hard_semiprime(self):
         hard = 1000000000000066600000000000001  # 31-digit prime ("Belphegor")
         semiprime = hard * (10**30 + 57)  # 10**30 + 57 is prime
@@ -112,6 +140,78 @@ class TestFactorize:
     def test_str(self):
         assert str(factorize(126)) == "2 * 3^2 * 7"
         assert str(factorize(1)) == "1"
+
+
+class TestPrimality:
+    """The standard-library primality test against sympy.isprime."""
+
+    def test_every_n_below_200000(self):
+        assert [n for n in range(-2, 200_000) if _isprime(n) != sympy.isprime(n)] == []
+
+    def test_random_odd_n_in_each_range(self):
+        rng = random.Random(8)
+        lows = (200_000,) + BASE_SET_BOUNDS
+        highs = BASE_SET_BOUNDS + (10**42,)
+        for lo, hi in zip(lows, highs):
+            odd = [rng.randrange(lo, hi) | 1 for _ in range(300)]
+            primes = [sympy.nextprime(rng.randrange(lo, hi)) for _ in range(20)]
+            small = [sympy.nextprime(rng.randrange(53, 400)) for _ in range(10)]
+            semiprimes = [p * sympy.nextprime(rng.randrange(lo // p, hi // p)) for p in small]
+            for n in odd + primes + semiprimes:
+                assert _isprime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("bound", (10_000,) + BASE_SET_BOUNDS)
+    def test_range_boundaries(self, bound):
+        for n in range(bound - 100, bound + 100):
+            assert _isprime(n) == sympy.isprime(n), n
+
+    def test_near_two_to_the_64(self):
+        for k in range(-300, 300):
+            assert _isprime(2**64 + k) == sympy.isprime(2**64 + k), k
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3215031751,
+            2152302898747,
+            3474749660383,
+            341550071728321,
+            3825123056546413051,
+            318665857834031151167461,
+            3317044064679887385961981,
+        ],
+    )
+    def test_strong_pseudoprimes_to_the_first_bases(self, n):
+        # each is a strong pseudoprime to every prime base below a bound, so a
+        # base set that stops too early would call it prime
+        assert not sympy.isprime(n)
+        assert not _isprime(n)
+
+    @pytest.mark.parametrize("k", [1, 1025, 100291, 10000146, 20000556, 1000000511, 1000000001121])
+    def test_chernick_carmichael_numbers(self, k):
+        # (6k+1)(12k+1)(18k+1) with all three factors prime is a Carmichael
+        # number: a Fermat pseudoprime to every coprime base
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        assert all(sympy.isprime(f) for f in factors)
+        assert not _isprime(math.prod(factors))
+
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745])
+    def test_small_carmichael_numbers(self, n):
+        assert pow(2, n - 1, n) == 1
+        assert not _isprime(n)
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    def test_strong_lucas_pseudoprimes(self, n):
+        assert _strong_lucas_probable_prime(n)
+        assert not _isprime(n)
+
+    def test_strong_lucas_test_matches_sympy(self):
+        # the Lucas half of BPSW runs only above 3.3e24 in _isprime, so it is
+        # compared directly on odd n where it is cheap
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        for n in range(3, 30_000, 2):
+            assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
 
 
 class TestFactorizationSum:
