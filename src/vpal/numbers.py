@@ -37,62 +37,21 @@ def _sieve(limit: int) -> list[int]:
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
 _PRIMORIAL_47 = math.prod(_SMALL_PRIMES[:15])  # 2 * 3 * 5 * ... * 47
 
-#: (bound, bases): strong probable-prime tests to these bases decide
-#: primality for every n below the bound.  These are the minimal sets listed
-#: at miller-rabin.appspot.com and by Sorenson & Webster (arXiv:1509.00864),
-#: the same ones sympy's isprime runs; bases >= n act through n's residue.
-_MR_BASES = (
-    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
-    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
-    (
-        7999252175582851,
-        (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805),
-    ),
-    (
-        585226005592931977,
-        (2, 123635709730000, 9233062284813009, 43835965440333360, 761179012939631437,
-         1263739024124850375),
-    ),
-    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-    (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-    (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
-)
-
-#: One base per hash bucket, enough below 4296595241 (M. Forisek and
-#: J. Jancina, "Fast Primality Testing for Integers That Fit into a Machine
-#: Word", 2015), with the hash as sympy computes it on unbounded integers.
-_MR_BASES_32 = (
-    15591, 2018, 166, 7429, 8064, 16045, 10503, 4399, 1949, 1295, 2776, 3620, 560, 3128,
-    5212, 2657, 2300, 2021, 4652, 1471, 9336, 4018, 2398, 20462, 10277, 8028, 2213,
-    6219, 620, 3763, 4852, 5012, 3185, 1333, 6227, 5298, 1074, 2391, 5113, 7061, 803,
-    1269, 3875, 422, 751, 580, 4729, 10239, 746, 2951, 556, 2206, 3778, 481, 1522, 3476,
-    481, 2487, 3266, 5633, 488, 3373, 6441, 3344, 17, 15105, 1490, 4154, 2036, 1882,
-    1813, 467, 3307, 14042, 6371, 658, 1005, 903, 737, 1887, 7447, 1888, 2848, 1784,
-    7559, 3400, 951, 13969, 4304, 177, 41, 19875, 3110, 13221, 8726, 571, 7043, 6943,
-    1199, 352, 6435, 165, 1169, 3315, 978, 233, 3003, 2562, 2994, 10587, 10030, 2377,
-    1902, 5354, 4447, 1555, 263, 27027, 2283, 305, 669, 1912, 601, 6186, 429, 1930,
-    14873, 1784, 1661, 524, 3577, 236, 2360, 6146, 2850, 55637, 1753, 4178, 8466, 222,
-    2579, 2743, 2031, 2226, 2276, 374, 2132, 813, 23788, 1610, 4422, 5159, 1725, 3597,
-    3366, 14336, 579, 165, 1375, 10018, 12616, 9816, 1371, 536, 1867, 10864, 857, 2206,
-    5788, 434, 8085, 17618, 727, 3639, 1595, 4944, 2129, 2029, 8195, 8344, 6232, 9183,
-    8126, 1870, 3296, 7455, 8947, 25017, 541, 19115, 368, 566, 5674, 411, 522, 1027,
-    8215, 2050, 6544, 10049, 614, 774, 2333, 3007, 35201, 4706, 1152, 1785, 1028, 1540,
-    3743, 493, 4474, 2521, 26845, 8354, 864, 18915, 5465, 2447, 42, 4511, 1660, 166,
-    1249, 6259, 2553, 304, 272, 7286, 73, 6554, 899, 2816, 5197, 13330, 7054, 2818,
-    3199, 811, 922, 350, 7514, 4452, 3449, 2663, 4708, 418, 1621, 1171, 3471, 88, 11345,
-    412, 1559, 194,
-)
+#: Strong probable-prime tests to the first 13 prime bases decide primality
+#: for every n below this bound (J. Sorenson and J. Webster, "Strong
+#: pseudoprimes to twelve prime bases", Math. Comp. 86, 2017,
+#: arXiv:1509.00864); above it _isprime runs strong BPSW.
+_MR_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _strong_probable_prime(n: int, bases) -> bool:
-    """Miller-Rabin: False when one of the bases proves the odd n > 2 composite."""
+    """Miller-Rabin: False when one of the bases, each below the odd n, proves
+    n composite."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
     for a in bases:
-        a %= n
-        if a < 2:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -167,24 +126,17 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def _isprime(n: int) -> bool:
-    """Primality of n, decided as sympy 1.14's isprime decides it without
-    gmpy2: exact below 3317044064679887385961981 (strong probable-prime tests
-    on bases proven sufficient there), strong BPSW above (base-2 Miller-Rabin
-    and a strong Lucas test), for which no composite that passes is known."""
+    """Primality of n: exact below _MR_BOUND (strong probable-prime tests to
+    bases proven sufficient there), strong BPSW above (base-2 Miller-Rabin
+    and a strong Lucas test), for which no composite that passes is known.
+    sympy's isprime decides the same way and agrees on every n."""
     if n < _TRIAL_LIMIT:
         i = bisect.bisect_left(_SMALL_PRIMES, n)
         return i < len(_SMALL_PRIMES) and _SMALL_PRIMES[i] == n
     if math.gcd(n, _PRIMORIAL_47) != 1:
         return False
-    if n < 341531:
-        return _strong_probable_prime(n, (9345883071009581737,))
-    if n < 4296595241:
-        h = ((n >> 16) ^ n) * 0x45D9F3B
-        h = ((h >> 16) ^ h) * 0x45D9F3B
-        return _strong_probable_prime(n, (_MR_BASES_32[((h >> 16) ^ h) & 255],))
-    for bound, bases in _MR_BASES:
-        if n < bound:
-            return _strong_probable_prime(n, bases)
+    if n < _MR_BOUND:
+        return _strong_probable_prime(n, _MR_BASES)
     return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
