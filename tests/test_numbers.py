@@ -149,6 +149,10 @@ class TestPrimality:
         for n in range(bound - 100, bound + 100):
             assert _isprime(n) == sympy.isprime(n), n
 
+    def test_near_two_to_the_64(self):
+        for k in range(-300, 300):
+            assert _isprime(2**64 + k) == sympy.isprime(2**64 + k), k
+
     @pytest.mark.parametrize(
         "n",
         [
