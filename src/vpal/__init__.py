@@ -58,9 +58,6 @@ from .indicator import (
     evaluate,
     expand_solution,
     fundamental_period,
-    indicator_for,
-    omega_b,
-    omega_f,
     order,
     type_of,
 )
@@ -79,14 +76,12 @@ from .spectrum import (
 )
 from .oracle import (
     UNVERIFIED,
-    SearchHit,
     SearchProperty,
     Unverified,
     VerificationRow,
     anomaly_witness,
     brute_force_flag,
     cross_check,
-    search,
     search_iter,
     verify,
 )

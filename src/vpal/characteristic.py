@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import InvalidInput
-from .numbers import Factorization, factorize, repetition_order, reverse_digits
+from .numbers import factorize, repetition_order, reverse_digits
 
 
 def check_eligible(n: int) -> None:
@@ -53,24 +53,16 @@ class CrucialPrimeRecord:
         return 1 if self.delta > 0 else -1
 
 
-def crucial_primes(
-    n: int,
-    budget: int | None = None,
-    factorizations: tuple[Factorization, Factorization] | None = None,
-) -> tuple[CrucialPrimeRecord, ...]:
+def crucial_primes(n: int, budget: int | None = None) -> tuple[CrucialPrimeRecord, ...]:
     """Records for every prime with differing exponents, sorted by prime.
 
-    Checks that n is eligible and factors n and its reversal, unless the
-    caller passes factorizations, the pair (factorization of n, of its
-    reversal) of an n it has already checked; then nothing is factored.
-
-    Nonempty for eligible n: a non-palindrome prime-by-prime equal to its
-    reversal would be its reversal.
+    Checks that n is eligible, then factors n and its reversal.  Nonempty for
+    eligible n: a non-palindrome prime-by-prime equal to its reversal would
+    be its reversal.
     """
-    if factorizations is None:
-        check_eligible(n)
-        factorizations = factorize(n, budget), factorize(reverse_digits(n), budget)
-    fn, fr = (f.as_dict() for f in factorizations)
+    check_eligible(n)
+    fn = factorize(n, budget).as_dict()
+    fr = factorize(reverse_digits(n), budget).as_dict()
     records = tuple(
         CrucialPrimeRecord(p, fn.get(p, 0), fr.get(p, 0))
         for p in sorted(set(fn) | set(fr))

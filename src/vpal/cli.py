@@ -173,6 +173,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.preset and args.numbers:
+        raise InvalidInput("pass either N... or --preset paper, not both")
     ns = PRESET_PAPER if args.preset == "paper" else tuple(args.numbers)
     if not ns:
         raise InvalidInput("no numbers given; pass N... or --preset paper")
@@ -201,11 +203,10 @@ def cmd_table(args) -> int:
 
 def cmd_search(args) -> int:
     prop = SearchProperty(args.property)
-    for hit in search_iter(args.until, prop, workers=args.workers, budget=args.budget):
-        report = hit.evidence
+    for report in search_iter(args.until, prop, workers=args.workers, budget=args.budget):
         if args.format == "json":
             payload = {
-                "n": str(hit.n),
+                "n": str(report.n),
                 "property": prop.value,
                 "omega0": str(report.omega0),
                 "omega_f": str(report.omega_f),
@@ -220,7 +221,7 @@ def cmd_search(args) -> int:
             print(json.dumps(payload), flush=True)
         else:
             detail = (
-                f"n={hit.n}  I = {report.combination}  omega0={report.omega0}  "
+                f"n={report.n}  I = {report.combination}  omega0={report.omega0}  "
                 f"omega_f={report.omega_f}  omega_b={report.omega_b}"
             )
             if prop is SearchProperty.DIVISIBILITY_ANOMALY:
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="factoring iteration cap (env VPAL_FACTOR_BUDGET overrides)",
+        help="Brent iteration cap per factorization, at least 10000 (default %(default)s)",
     )
     parser.add_argument(
         "--format",
@@ -379,13 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_budget = os.environ.get("VPAL_FACTOR_BUDGET")
-    if env_budget is not None:
-        try:
-            args.budget = int(env_budget)
-        except ValueError:
-            print(f"error: VPAL_FACTOR_BUDGET is not an integer: {env_budget!r}", file=sys.stderr)
-            return EXIT_INVALID
     if args.budget < 10_000:
         print("error: factor budget must be at least 10000", file=sys.stderr)
         return EXIT_INVALID

@@ -15,7 +15,6 @@ from .characteristic import (
     CrucialPrimeRecord,
     SolutionConstraints,
     assemble_constraints,
-    check_eligible,
     crucial_primes,
     in_divisibility_set,
     solve_characteristic,
@@ -202,33 +201,32 @@ class AnalysisReport:
 
 @lru_cache(maxsize=1 << 12)
 def analyze(n: int, budget: int | None = None) -> AnalysisReport:
-    """Run the whole pipeline for one number.
+    """Run the whole pipeline for one number.  The report holds the indicator
+    combination and everything read off it: c(n) as order, omega0, omega_f
+    and omega_b.
 
-    Steps: factor n and its reversal, pick out the crucial primes from those
-    two factorizations, then hand the records to _pipeline, which solves the
-    characteristic equation, assembles constraints per solution, discards the
-    degenerate ones, expands the survivors into the canonical combination and
-    computes omega_f and omega_b; order and omega0 are read off the
-    combination.
+    Steps: crucial_primes checks n, factors n and its reversal and picks out
+    the crucial primes (the report's two factorizations are then memo hits);
+    _pipeline takes the records, solves the characteristic equation,
+    assembles constraints per solution, discards the degenerate ones, expands
+    the survivors into the canonical combination and computes omega_f and
+    omega_b; order and omega0 are read off the combination.
 
     _pipeline is memoized on the records with every sign flipped when the
     first one is negative (_signature), so n and its reversal, whose records
     differ exactly by that flip, share one run.  The report keeps n's own
     records.
     """
-    check_eligible(n)
+    records = crucial_primes(n, budget)
     rev = reverse_digits(n)
     d = digit_count(n)
-    fn = factorize(n, budget)
-    fr = factorize(rev, budget)
-    records = crucial_primes(n, budget, (fn, fr))
     constraints, comb, bound_f, bound_b = _pipeline(_signature(records), d, budget)
     return AnalysisReport(
         n=n,
         reverse=rev,
         digits=d,
-        n_factorization=fn,
-        reverse_factorization=fr,
+        n_factorization=factorize(n, budget),
+        reverse_factorization=factorize(rev, budget),
         records=records,
         constraints=constraints,
         combination=comb,
@@ -274,24 +272,6 @@ def _pipeline(
         math.lcm(*omega_f_parts) if omega_f_parts else 1,
         math.lcm(*moduli) if moduli else 1,
     )
-
-
-def indicator_for(n: int, budget: int | None = None) -> IndicatorCombination:
-    """Canonical indicator combination deciding which repetition counts k make
-    the k-fold concatenation of n qualify."""
-    return analyze(n, budget).combination
-
-
-def omega_f(n: int, budget: int | None = None) -> int:
-    """Period bound built from the squared-prime repetition orders of every
-    crucial prime other than 2 and 5; 1 when there are none."""
-    return analyze(n, budget).omega_f
-
-
-def omega_b(n: int, budget: int | None = None) -> int:
-    """Period bound built from every constraint modulus of the surviving
-    solutions; 1 when none survive."""
-    return analyze(n, budget).omega_b
 
 
 def type_of(n: int, k: int, budget: int | None = None) -> CharSolution | None:

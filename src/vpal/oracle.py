@@ -8,14 +8,16 @@ the two is evidence, not tautology.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 from .characteristic import balance_weight, check_eligible, in_divisibility_set
 from .errors import BudgetExceeded, InvalidInput
-from .indicator import AnalysisReport, Singleton, analyze, evaluate, indicator_for
+from .indicator import AnalysisReport, Singleton, analyze, evaluate
 from .numbers import (
+    concat,
     digit_count,
     factorization_sum_of,
     factorize,
@@ -66,7 +68,7 @@ def brute_force_flag(
             left = factorization_sum_of(factorize(n, budget).merge(rep))
             right = factorization_sum_of(factorize(reverse_digits(n), budget).merge(rep))
             return left == right
-        return is_v_palindrome(int(str(n) * k), budget)
+        return is_v_palindrome(concat(n, k), budget)
     except BudgetExceeded:
         return UNVERIFIED
 
@@ -96,7 +98,7 @@ def verify(
     """Compare the indicator prediction with brute force for k = 1..k_max."""
     if k_max < 1:
         raise InvalidInput("k_max must be >= 1")
-    comb = indicator_for(n, budget)
+    comb = analyze(n, budget).combination
     rows = []
     for k in range(1, k_max + 1):
         predicted = evaluate(comb, k) == 1
@@ -136,13 +138,6 @@ class SearchProperty(Enum):
     DIVISIBILITY_ANOMALY = "anomaly"
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    n: int
-    property: SearchProperty
-    evidence: AnalysisReport
-
-
 def anomaly_witness(report: AnalysisReport) -> tuple[int, int] | None:
     """The first indicator modulus that fails to divide the largest one,
     paired with that largest modulus."""
@@ -168,27 +163,16 @@ def _eligible(n: int) -> bool:
     return n % 10 != 0 and reverse_digits(n) != n
 
 
-def _scan_chunk(args: tuple[int, int, str, int | None]) -> list[SearchHit]:
-    start, stop, prop_value, budget = args
-    prop = SearchProperty(prop_value)
+def _scan_chunk(args: tuple[int, int, SearchProperty, int | None]) -> list[AnalysisReport]:
+    start, stop, prop, budget = args
     hits = []
     for n in range(start, stop):
         if not _eligible(n):
             continue
         report = analyze(n, budget)
         if _is_hit(report, prop):
-            hits.append(SearchHit(n, prop, report))
+            hits.append(report)
     return hits
-
-
-def search(
-    range_end: int,
-    prop: SearchProperty,
-    workers: int = 1,
-    budget: int | None = None,
-) -> tuple[SearchHit, ...]:
-    """Every hit of search_iter(), collected."""
-    return tuple(search_iter(range_end, prop, workers, budget))
 
 
 def search_iter(
@@ -197,18 +181,20 @@ def search_iter(
     workers: int = 1,
     budget: int | None = None,
 ):
-    """Scan eligible n in 2..range_end for the property, yielding hits in
-    increasing order as their chunk completes.
+    """Scan eligible n in 2..range_end for the property, yielding the
+    AnalysisReport of each hit in increasing n as its chunk completes.
 
-    Work is sharded into contiguous chunks of n; the hits are identical
-    whatever the worker count.
+    Work is sharded into contiguous chunks of CHUNK_SIZE n.  The pool gets at
+    most one process per chunk and per CPU; with one, the scan runs serially
+    in this process.  The hits are identical whatever the worker count.
     """
     if range_end < 2:
         raise InvalidInput("range_end must be >= 2")
     chunks = [
-        (start, min(start + CHUNK_SIZE, range_end + 1), prop.value, budget)
+        (start, min(start + CHUNK_SIZE, range_end + 1), prop, budget)
         for start in range(2, range_end + 1, CHUNK_SIZE)
     ]
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
         for chunk in chunks:
             yield from _scan_chunk(chunk)

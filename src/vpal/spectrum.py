@@ -237,16 +237,10 @@ def naive_fundamental_period(s: PeriodicSamples) -> int:
 def indicator_spectrum(a: int) -> SpectralMap:
     """The divisibility-by-a indicator as coefficient 1/a on every a-th root
     of unity (exactly a entries, one per reduced fraction with denominator
-    dividing a)."""
+    dividing a): the spectrum of the combination I_a."""
     if a < 1:
         raise ValueError("indicator_spectrum requires a >= 1")
-    entries: dict[RootIndex, Fraction] = {}
-    coeff = Fraction(1, a)
-    for den in divisors(a):
-        for num in range(den):
-            if math.gcd(num, den) == 1:
-                entries[RootIndex(num, den)] = coeff
-    return SpectralMap(entries)
+    return combination_spectrum(IndicatorCombination(((a, 1),)))
 
 
 def net_coefficients(comb: IndicatorCombination) -> dict[int, Fraction]:

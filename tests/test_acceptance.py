@@ -29,7 +29,7 @@ from vpal import (
     repetition_order,
     reverse_digits,
     samples_to_spectrum,
-    search,
+    search_iter,
     spectrum_to_samples,
     support_period,
     gcd_period,
@@ -161,13 +161,13 @@ def test_criterion_2_walkthrough_of_126():
 
 def test_criterion_3_counterexample_searches():
     with criterion(3, "searches find 126, 5957, 21726 first", 600):
-        hits = search(200, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=4)
+        hits = list(search_iter(200, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=4))
         assert hits and hits[0].n == 126
-        hits = search(6000, SearchProperty.OMEGA_B_COUNTEREXAMPLE, workers=4)
+        hits = list(search_iter(6000, SearchProperty.OMEGA_B_COUNTEREXAMPLE, workers=4))
         assert hits and hits[0].n == 5957
-        hits = search(22000, SearchProperty.DIVISIBILITY_ANOMALY, workers=4)
+        hits = list(search_iter(22000, SearchProperty.DIVISIBILITY_ANOMALY, workers=4))
         assert hits and hits[0].n == 21726
-        report = hits[0].evidence
+        report = hits[0]
         assert report.combination.terms == REFERENCE_ANOMALY_21726
         assert len(report.combination.terms) == 12
         assert anomaly_witness(report) == (816, 2197734)

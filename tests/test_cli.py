@@ -94,10 +94,9 @@ class TestVerify:
         assert lines[0] == "k,predicted,observed,agrees"
         assert lines[1] == "1,True,True,True"
 
-    def test_strict_budget_exit(self, capsys, monkeypatch):
-        monkeypatch.setenv("VPAL_FACTOR_BUDGET", "10000")
+    def test_strict_budget_exit(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "48", "--kmax", "22", "--strict", "--accelerated"
+            capsys, "--budget", "10000", "verify", "48", "--kmax", "22", "--strict", "--accelerated"
         )
         assert code == EXIT_BUDGET
         assert "UNVERIFIED" in out
@@ -140,6 +139,13 @@ class TestTable:
         assert code == EXIT_INVALID
         assert "no numbers" in err
 
+    def test_numbers_with_preset_rejected(self, capsys):
+        # regression: the preset rows were printed and 21726 silently dropped
+        code, out, err = run_cli(capsys, "table", "21726", "--preset", "paper")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == "error: pass either N... or --preset paper, not both\n"
+
 
 class TestSearch:
     def test_conj1(self, capsys):
@@ -155,6 +161,39 @@ class TestSearch:
         docs = [json.loads(line) for line in out.splitlines()]
         assert docs[0]["n"] == "126"
         assert docs[0]["omega0"] == "3542"
+
+    def test_pool_capped_by_chunks_and_cpus(self, capsys, monkeypatch):
+        # regression: the pool was built with max_workers as given, and a
+        # fork-based pool starts every worker on its first submit, so a scan
+        # of one chunk with --workers 5000 forked 5000 processes
+        import concurrent.futures
+
+        built = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        _, serial, _ = run_cli(capsys, "search", "conj1", "--until", "200")
+        code, out, _ = run_cli(capsys, "search", "conj1", "--until", "200", "--workers", "5000")
+        assert (code, out, built) == (EXIT_OK, serial, [])
+        # 2..2100 is five chunks
+        code, _, _ = run_cli(capsys, "search", "conj1", "--until", "2100", "--workers", "5000")
+        assert (code, built) == (EXIT_OK, [5])
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_cli(capsys, "search", "conj1", "--until", "2100", "--workers", "5000")
+        assert built == [5, 2]
 
 
 class TestSpectrum:
@@ -238,20 +277,6 @@ class TestConfig:
         assert out == ""
         assert "at least 10000" in err
 
-    def test_env_overrides_flag(self, capsys, monkeypatch):
-        # a budget this small cannot even pass config validation, proving the
-        # env var took precedence over the flag
-        monkeypatch.setenv("VPAL_FACTOR_BUDGET", "50")
-        code, _, err = run_cli(capsys, "--budget", "1000000", "analyze", "126")
-        assert code == EXIT_INVALID
-        assert "at least 10000" in err
-
-    def test_malformed_env_budget_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("VPAL_FACTOR_BUDGET", "abc")
-        code, out, err = run_cli(capsys, "analyze", "12")
-        assert code == EXIT_INVALID
-        assert out == ""
-        assert err == "error: VPAL_FACTOR_BUDGET is not an integer: 'abc'\n"
 
 
 class TestProcess:

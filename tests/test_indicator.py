@@ -28,9 +28,6 @@ from vpal import (
     factorize,
     fundamental_period,
     in_divisibility_set,
-    indicator_for,
-    omega_b,
-    omega_f,
     order,
     reverse_digits,
     solve_characteristic,
@@ -97,18 +94,18 @@ class TestExpandSolution:
 
 class TestIndicatorFor:
     def test_known_combinations(self):
-        assert indicator_for(126).terms == ((154, 1), (3542, -1))
-        assert indicator_for(13).terms == ((15, 1), (195, -1), (465, -1), (6045, 2))
-        assert indicator_for(18).terms == ((1, 1),)
-        assert indicator_for(12).terms == ()
+        assert analyze(126).combination.terms == ((154, 1), (3542, -1))
+        assert analyze(13).combination.terms == ((15, 1), (195, -1), (465, -1), (6045, 2))
+        assert analyze(18).combination.terms == ((1, 1),)
+        assert analyze(12).combination.terms == ()
 
     def test_like_terms_cancel(self):
         # inclusion-exclusion for 5957 produces +/- I_3795 which must vanish
-        assert indicator_for(5957).terms == ((253, 1), (759, -1))
+        assert analyze(5957).combination.terms == ((253, 1), (759, -1))
 
     def test_rejects_ineligible(self):
         with pytest.raises(InvalidInput):
-            indicator_for(560)
+            analyze(560)
 
 
 class TestEvaluate:
@@ -118,7 +115,7 @@ class TestEvaluate:
         assert evaluate(IndicatorCombination(()), 17) == 0
 
     def test_equals_divisor_sum(self):
-        comb = indicator_for(122)
+        comb = analyze(122).combination
         for x in range(1, 200):
             assert evaluate(comb, x) == sum(
                 coeff for modulus, coeff in comb.terms if x % modulus == 0
@@ -128,13 +125,13 @@ class TestEvaluate:
 class TestPeriodAndOrder:
     def test_fundamental_period(self):
         assert fundamental_period(I126) == 3542
-        assert fundamental_period(indicator_for(13)) == 6045
+        assert fundamental_period(analyze(13).combination) == 6045
         assert fundamental_period(IndicatorCombination(())) == 1
 
     def test_order(self):
-        assert order(indicator_for(13)) == 15
-        assert order(indicator_for(126)) == 154
-        assert order(indicator_for(12)) is INFINITE
+        assert order(analyze(13).combination) == 15
+        assert order(analyze(126).combination) == 154
+        assert order(analyze(12).combination) is INFINITE
 
     def test_infinite_is_a_singleton(self):
         assert Infinite() is INFINITE
@@ -143,24 +140,24 @@ class TestPeriodAndOrder:
 
 class TestOmegaF:
     def test_126(self):
-        assert omega_f(126) == 31878
-        assert omega_f(126) == math.lcm(9, 14, 506)
+        assert analyze(126).omega_f == 31878
+        assert analyze(126).omega_f == math.lcm(9, 14, 506)
 
     def test_5957(self):
-        assert omega_f(5957) == 30470055
+        assert analyze(5957).omega_f == 30470055
 
     def test_crucial_primes_only_2_and_5(self):
         # 528 = 2^4 * 3 * 11 reverses to 825 = 3 * 5^2 * 11: the empty-lcm branch
         assert [r.p for r in crucial_primes(528)] == [2, 5]
-        assert omega_f(528) == 1
-        assert indicator_for(528).terms == ()
+        assert analyze(528).omega_f == 1
+        assert analyze(528).combination.terms == ()
 
 
 class TestOmegaB:
     def test_examples(self):
-        assert omega_b(126) == 3542  # lcm{14, 22, 506}
-        assert omega_b(13) == 6045
-        assert omega_b(12) == 1  # no surviving solutions
+        assert analyze(126).omega_b == 3542  # lcm{14, 22, 506}
+        assert analyze(13).omega_b == 6045
+        assert analyze(12).omega_b == 1  # no surviving solutions
 
     def test_divides_into_chain(self):
         # every indicator modulus divides omega_b
@@ -179,7 +176,7 @@ class TestTypeOf:
 
     def test_matches_evaluation(self):
         for n in (13, 48, 56, 126):
-            comb = indicator_for(n)
+            comb = analyze(n).combination
             for k in range(1, 300):
                 assert (type_of(n, k) is not None) == (evaluate(comb, k) == 1)
 
@@ -332,7 +329,7 @@ class TestCanonicalForm:
 
     def test_rendering(self):
         assert str(IndicatorCombination(())) == "0"
-        assert str(indicator_for(122)) == (
+        assert str(analyze(122).combination) == (
             "I_80 - I_1040 - I_1360 - I_4880 + I_17680 + 2I_63440 + 2I_82960 - 3I_1078480"
         )
 

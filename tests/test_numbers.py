@@ -13,6 +13,7 @@ from vpal import (
     Factorization,
     InvalidPrime,
     NotCoprime,
+    analyze,
     brute_force_flag,
     concat,
     cyclotomic_value,
@@ -21,7 +22,6 @@ from vpal import (
     evaluate,
     factorization_sum,
     factorize,
-    indicator_for,
     is_v_palindrome,
     multiplicative_order,
     padic_order,
@@ -274,7 +274,7 @@ class TestCyclotomicSplit:
         # ran out of budget (UNVERIFIED) at k = 19 and k = 23
         flag = brute_force_flag(48, k, accelerated=True)
         assert type(flag) is bool
-        assert flag == (evaluate(indicator_for(48), k) == 1)
+        assert flag == (evaluate(analyze(48).combination, k) == 1)
 
 
 class TestConcat:

@@ -10,10 +10,10 @@ from vpal import (
     anomaly_witness,
     brute_force_flag,
     cross_check,
+    analyze,
     evaluate,
-    indicator_for,
     reverse_digits,
-    search,
+    search_iter,
     verify,
 )
 from vpal.oracle import CHUNK_SIZE
@@ -115,7 +115,7 @@ class TestCrossCheck:
         # the weight tuple matches some surviving solution exactly when the
         # concatenation qualifies
         for n in (13, 48, 126):
-            comb = indicator_for(n)
+            comb = analyze(n).combination
             for k in range(1, 19):
                 assert cross_check(n, k)
                 observed = brute_force_flag(n, k, accelerated=True)
@@ -126,31 +126,29 @@ class TestCrossCheck:
 
 class TestSearch:
     def test_conj1_first_hit(self):
-        hits = search(200, SearchProperty.CONJ1_COUNTEREXAMPLE)
-        assert hits[0].n == 126
-        assert hits[0].evidence.omega0 == 3542
-        assert hits[0].evidence.omega_f == 31878
+        first = next(search_iter(200, SearchProperty.CONJ1_COUNTEREXAMPLE))
+        assert first == analyze(126)
+        assert first.omega0 == 3542
+        assert first.omega_f == 31878
 
-    def test_parallel_matches_serial(self):
-        # 2..1100 spans three chunks, so the pool merges several workers' hits
+    def test_parallel_matches_serial(self, monkeypatch):
+        # 2..1100 spans three chunks, so the pool merges several workers' hits;
+        # the pool is capped at the CPU count, so report two CPUs to keep this
+        # on the pooled path on a one-CPU host
         assert 2 * CHUNK_SIZE < 1100 - 1 <= 3 * CHUNK_SIZE
-        serial = search(1100, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=1)
-        parallel = search(1100, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=2)
-        assert [h.n for h in serial] == [h.n for h in parallel]
-        assert [h.evidence.combination for h in serial] == [
-            h.evidence.combination for h in parallel
-        ]
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        serial = list(search_iter(1100, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=1))
+        parallel = list(search_iter(1100, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=2))
+        assert serial == parallel
 
     def test_rejects_trivial_range(self):
         with pytest.raises(InvalidInput):
-            search(1, SearchProperty.CONJ1_COUNTEREXAMPLE)
+            next(search_iter(1, SearchProperty.CONJ1_COUNTEREXAMPLE))
 
     def test_no_anomalies_below_1000(self):
-        assert search(1000, SearchProperty.DIVISIBILITY_ANOMALY) == ()
+        assert list(search_iter(1000, SearchProperty.DIVISIBILITY_ANOMALY)) == []
 
     def test_anomaly_witness_none_for_clean_reports(self):
-        from vpal import analyze
-
         assert anomaly_witness(analyze(126)) is None
         assert anomaly_witness(analyze(12)) is None
 

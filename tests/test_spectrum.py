@@ -15,11 +15,11 @@ from vpal import (
     PeriodMismatch,
     RootIndex,
     SpectralMap,
+    analyze,
     combination_spectrum,
     evaluate,
     fundamental_period,
     gcd_period,
-    indicator_for,
     indicator_spectrum,
     naive_fundamental_period,
     net_coefficients,
@@ -71,7 +71,7 @@ class TestSupportPeriod:
         assert support_period(SpectralMap({})) == 1
 
     def test_combination_126(self):
-        assert support_period(combination_spectrum(indicator_for(126))) == 3542
+        assert support_period(combination_spectrum(analyze(126).combination)) == 3542
 
 
 class TestSamplesToSpectrum:
@@ -90,8 +90,8 @@ class TestSamplesToSpectrum:
         assert len(g) == 4
         assert all(abs(c - 0.25) < 1e-12 for _, c in g.items())
 
-    def test_matches_exact_indicator_spectrum(self):
-        a = 6
+    @pytest.mark.parametrize("a", range(1, 41))
+    def test_matches_exact_indicator_spectrum(self, a):
         samples = PeriodicSamples(a, tuple(1 if x % a == 0 else 0 for x in range(a)))
         g = samples_to_spectrum(samples)
         exact = indicator_spectrum(a)
@@ -245,7 +245,7 @@ class TestPeriodFormulas:
                 assert fixes == (t % w0 == 0)
 
     def test_indicator_window_period_126(self):
-        comb = indicator_for(126)
+        comb = analyze(126).combination
         w0 = fundamental_period(comb)
         window = 2 * w0
         vals = tuple(evaluate(comb, x) for x in range(window))
@@ -281,12 +281,12 @@ class TestCombinationSpectrum:
 
     def test_support_period_equals_fundamental_period(self):
         for n in (13, 18, 48, 56, 122, 126):
-            comb = indicator_for(n)
+            comb = analyze(n).combination
             assert support_period(combination_spectrum(comb)) == fundamental_period(comb)
 
     def test_pointwise_bridge(self):
         for n in (18, 48, 56):
-            comb = indicator_for(n)
+            comb = analyze(n).combination
             g = combination_spectrum(comb)
             w0 = fundamental_period(comb)
             samples = spectrum_to_samples(g, w0)
@@ -296,7 +296,7 @@ class TestCombinationSpectrum:
                 assert round(got.real) in (0, 1)
 
     def test_pointwise_bridge_spot_checks_large_window(self):
-        comb = indicator_for(13)  # fundamental period 6045
+        comb = analyze(13).combination  # fundamental period 6045
         g = combination_spectrum(comb)
         rng = random.Random(6045)
         for x in rng.sample(range(2 * 6045), 100):
