@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .errors import InvalidInput, PeriodMismatch, VpalError
 from .indicator import AnalysisReport, analyze
@@ -58,8 +59,54 @@ PRESET_NOTES = {
 
 def canonical_json(obj) -> str:
     """Stable serialization: insertion-ordered keys, 2-space indent, no
-    floats anywhere on the analysis path (integers travel as strings)."""
-    return json.dumps(obj, indent=2, ensure_ascii=False)
+    floats anywhere on the analysis path (integers travel as strings).
+
+    Byte-identical to json.dumps(obj, indent=2, ensure_ascii=False) for
+    string keys.  Written out here because with an indent the stdlib drops
+    its C encoder for one Python generator per nesting level.
+    """
+    out: list[str] = []
+    _write_json(obj, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, emit) -> None:
+    """Emit obj's fragments; newline is the line break and indent that
+    precede obj's closing bracket."""
+    if isinstance(obj, str):
+        emit(encode_basestring(obj))
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif obj is None:
+        emit("null")
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, value in obj.items():
+            emit(sep + encode_basestring(key) + ": ")
+            _write_json(value, inner, emit)
+            sep = comma
+        emit(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for value in obj:
+            emit(sep)
+            _write_json(value, inner, emit)
+            sep = comma
+        emit(newline + "]")
+    else:
+        emit(json.dumps(obj))
 
 
 def _fmt_set(values) -> str:

@@ -19,7 +19,14 @@ from .characteristic import (
     in_divisibility_set,
     solve_characteristic,
 )
-from .numbers import Factorization, digit_count, factorize, repetition_order, reverse_digits
+from .numbers import (
+    DEFAULT_BUDGET,
+    Factorization,
+    digit_count,
+    factorize,
+    repetition_order,
+    reverse_digits,
+)
 
 
 class Singleton:
@@ -156,7 +163,24 @@ class AnalysisReport:
         return tuple(c for c in self.constraints if not c.degenerate)
 
     def to_json_dict(self) -> dict:
-        """Stable JSON shape; all integers as decimal strings."""
+        """Stable JSON shape; all integers as decimal strings.
+
+        Solutions that give a crucial prime the same constraint pair share
+        one pair dict: treat the result as read-only.
+        """
+        # one table per crucial prime: the vacuous and always-false pairs are
+        # single objects that several primes share, but each dict names its p
+        pair_dicts = [
+            {
+                pair: {
+                    "p": str(r.p),
+                    "required": [str(a) for a in sorted(pair.required)],
+                    "excluded": [str(b) for b in sorted(pair.excluded)],
+                }
+                for pair in {c.pairs[j] for c in self.constraints}
+            }
+            for j, r in enumerate(self.records)
+        ]
         return {
             "n": str(self.n),
             "reverse": str(self.reverse),
@@ -175,14 +199,7 @@ class AnalysisReport:
                 {
                     "values": [str(v) for v in c.solution.values],
                     "cases": [case.value for case in c.cases],
-                    "pairs": [
-                        {
-                            "p": str(r.p),
-                            "required": [str(a) for a in sorted(pair.required)],
-                            "excluded": [str(b) for b in sorted(pair.excluded)],
-                        }
-                        for r, pair in zip(self.records, c.pairs)
-                    ],
+                    "pairs": [table[pair] for table, pair in zip(pair_dicts, c.pairs)],
                     "required": [str(a) for a in sorted(c.required)],
                     "excluded": [str(b) for b in sorted(c.excluded)],
                     "degenerate": c.degenerate,
@@ -199,7 +216,6 @@ class AnalysisReport:
         }
 
 
-@lru_cache(maxsize=1 << 12)
 def analyze(n: int, budget: int | None = None) -> AnalysisReport:
     """Run the whole pipeline for one number.  The report holds the indicator
     combination and everything read off it: c(n) as order, omega0, omega_f
@@ -215,8 +231,14 @@ def analyze(n: int, budget: int | None = None) -> AnalysisReport:
     _pipeline is memoized on the records with every sign flipped when the
     first one is negative (_signature), so n and its reversal, whose records
     differ exactly by that flip, share one run.  The report keeps n's own
-    records.
+    records.  Both memos see budget None as DEFAULT_BUDGET, so every way of
+    passing the default finds the same report.
     """
+    return _analyze_cached(n, budget if budget is not None else DEFAULT_BUDGET)
+
+
+@lru_cache(maxsize=1 << 12)
+def _analyze_cached(n: int, budget: int) -> AnalysisReport:
     records = crucial_primes(n, budget)
     rev = reverse_digits(n)
     d = digit_count(n)
@@ -251,7 +273,7 @@ def _signature(records: tuple[CrucialPrimeRecord, ...]) -> tuple[CrucialPrimeRec
 
 @lru_cache(maxsize=1 << 12)
 def _pipeline(
-    records: tuple[CrucialPrimeRecord, ...], digits: int, budget: int | None
+    records: tuple[CrucialPrimeRecord, ...], digits: int, budget: int
 ) -> tuple[tuple[SolutionConstraints, ...], IndicatorCombination, int, int]:
     """Constraints per characteristic solution, the combination of the
     nondegenerate ones, omega_f and omega_b, for crucial primes at a digit

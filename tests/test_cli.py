@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vpal.cli import (
     EXIT_BUDGET,
@@ -31,6 +33,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# text that needs escaping: quotes, backslashes, control and non-ASCII characters
+_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té\u2028😀'), st.characters()))
+_json_values = st.recursive(
+    st.one_of(_text, st.booleans(), st.none(), st.integers()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(_text, children, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestCanonicalJson:
+    @given(_json_values)
+    @example({"": [], "a": {}, "b": [{}, [[]], [True, False, None, -7]]})
+    def test_matches_stdlib_indented_dump(self, obj):
+        assert canonical_json(obj) == json.dumps(obj, indent=2, ensure_ascii=False)
 
 
 class TestAnalyze:
@@ -65,9 +85,20 @@ class TestAnalyze:
         assert "multiple of 10" in err
 
     def test_json_round_trips_byte_identical(self, capsys):
-        code, out, _ = run_cli(capsys, "analyze", "126", "--json")
-        assert code == EXIT_OK
-        assert out == canonical_json(json.loads(out)) + "\n"
+        # the stdlib's indented dump is the reference the writer must match
+        outputs = []
+        for argv in (
+            ["analyze", "126", "--json"],
+            ["--budget", "10000", "--format", "json", "verify", "48", "--kmax", "25"],
+            ["--format", "json", "table", "--preset", "paper"],
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == EXIT_OK
+            assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n", argv
+            outputs.append(out)
+        # at this budget verify renders every scalar kind: markers and bools
+        for marker in ('"UNVERIFIED"', '"SKIPPED"', "true"):
+            assert marker in outputs[1]
 
     def test_json_fifteen_digit_crucial_prime(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "300000000000093", "--json")

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vpal import (
+    DEFAULT_BUDGET,
     INFINITE,
     CharSolution,
     CrucialPrimeRecord,
@@ -33,7 +34,7 @@ from vpal import (
     solve_characteristic,
     type_of,
 )
-from vpal.indicator import _pipeline, _signature
+from vpal.indicator import _analyze_cached, _pipeline, _signature
 
 I126 = IndicatorCombination(((154, 1), (3542, -1)))
 
@@ -241,6 +242,35 @@ class TestAnalyze:
         assert d["omega0"] == "1"
         assert d["indicator"] == []
 
+    @pytest.mark.parametrize("n", [126, 45])
+    def test_json_shared_pair_dicts_name_their_own_prime(self, n):
+        # in 126's third solution 2 and 3 both get the always-false pair (one
+        # object), and in 45's second 2 and 5 both get the vacuous one, so
+        # pair dicts shared by pair alone would name the first prime twice
+        report = analyze(n)
+        solutions = report.to_json_dict()["solutions"]
+        assert len(solutions) > 1
+        assert any(
+            a == b for cons in report.constraints for a, b in combinations(cons.pairs, 2)
+        )
+        for solution in solutions:
+            assert [pair["p"] for pair in solution["pairs"]] == [str(r.p) for r in report.records]
+
+    def test_every_spelling_of_the_default_budget_is_one_memo_entry(self):
+        # regression: None, the default and DEFAULT_BUDGET, positional or by
+        # keyword, were separate cache keys and ran _pipeline twice
+        _analyze_cached.cache_clear()
+        _pipeline.cache_clear()
+        reports = [
+            analyze(126),
+            analyze(126, None),
+            analyze(126, DEFAULT_BUDGET),
+            analyze(126, budget=DEFAULT_BUDGET),
+        ]
+        assert all(r is reports[0] for r in reports)
+        assert _analyze_cached.cache_info().currsize == 1
+        assert _pipeline.cache_info().misses == 1
+
 
 def _eligible(n):
     return n % 10 != 0 and reverse_digits(n) != n
@@ -274,13 +304,13 @@ class TestSharedPipeline:
             rev = reverse_digits(n)
             if not (_eligible(n) and _eligible(rev)):
                 continue
-            analyze.cache_clear()
+            _analyze_cached.cache_clear()
             _pipeline.cache_clear()
             analyze(n)
             hits = _pipeline.cache_info().hits
             warm = analyze(rev).to_json_dict()
             assert _pipeline.cache_info().hits == hits + 1
-            analyze.cache_clear()
+            _analyze_cached.cache_clear()
             _pipeline.cache_clear()
             assert warm == analyze(rev).to_json_dict(), n
             checked += 1
