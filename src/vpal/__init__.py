@@ -35,15 +35,13 @@ from .numbers import (
 )
 from .characteristic import (
     CaseLabel,
-    CharSolution,
     ConstraintPair,
     CrucialPrimeRecord,
     SolutionConstraints,
     assemble_constraints,
     balance_weight,
     check_eligible,
-    classify,
-    constraint_pair,
+    constraint_table,
     crucial_primes,
     in_divisibility_set,
     solve_characteristic,

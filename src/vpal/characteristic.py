@@ -87,12 +87,14 @@ def balance_weight(p: int, delta: int, alpha: int) -> int:
     return p + delta if alpha == 0 else 1 + delta if alpha == 1 else delta
 
 
-def weight_range(p: int, delta: int) -> frozenset[int]:
-    """All values balance_weight(p, delta, .) can take.
+@lru_cache(maxsize=1 << 12)
+def weight_range(p: int, delta: int) -> tuple[int, ...]:
+    """The values balance_weight(p, delta, alpha) takes over alpha in
+    {0, 1, >= 2}, ascending.
 
-    Two elements exactly when (p, delta) = (2, 1), otherwise three.
+    Two values exactly when (p, delta) = (2, 1), otherwise three.
     """
-    return frozenset(_constraint_table(p, delta, 0))
+    return tuple(sorted({balance_weight(p, delta, alpha) for alpha in (0, 1, 2)}))
 
 
 class CaseLabel(Enum):
@@ -138,18 +140,22 @@ _IMPOSSIBLE = ConstraintPair(_EMPTY, frozenset({1}))
 
 
 @lru_cache(maxsize=1 << 12)
-def _constraint_table(
-    p: int, delta: int, mu: int, digits: int | None = None, budget: int | None = None
-) -> dict[int, tuple[CaseLabel, ConstraintPair | None]]:
+def constraint_table(
+    p: int, delta: int, mu: int, digits: int, budget: int | None = None
+) -> dict[int, tuple[CaseLabel, ConstraintPair]]:
     """Case and constraint pair of every weight u of (p, delta, mu), by
-    ascending u; without digits, the cases only (pairs None).
+    ascending u: the keys are weight_range(p, delta).
 
     Repeating n multiplies n and its reversal by the same repetition number,
     so the smaller exponent of p becomes alpha = mu + v, where v is the p-adic
     order of the repetition number.  u is realized when alpha is one of the
-    lift exponents in {0, 1, >= 2} that give u: an interval [lo, hi] of v.
+    lift exponents in {0, 1, >= 2} that give u: an interval [lo, hi] of v,
+    whose bounds pick one of the seven cases ([vii]: no v at all).
     v >= j exactly when repetition_order(p, j, digits) divides k, so the pair
-    requires the order for lo >= 1 and excludes the one for hi + 1.
+    requires the order for lo >= 1 and excludes the one for hi + 1.  For p = 2
+    and p = 5 the repetition number is never divisible by p (v = 0), so the
+    pair is vacuous or impossible; impossible combinations get the
+    always-false pair (nothing required, 1 excluded).
 
     The table may compute an order for a weight that no solution uses.  That
     never adds a BudgetExceeded: either order factors only p - 1 and a power
@@ -157,7 +163,7 @@ def _constraint_table(
     anyway when it computes omega_f.
     """
     if mu < 0:
-        raise ValueError("classify requires mu >= 0")
+        raise ValueError("constraint_table requires mu >= 0")
     lifts: dict[int, list[int]] = {}
     for alpha in (0, 1, 2):  # 2 stands for every alpha >= 2
         lifts.setdefault(balance_weight(p, delta, alpha), []).append(alpha)
@@ -166,9 +172,7 @@ def _constraint_table(
         lo = max(alphas[0] - mu, 0)
         hi = None if alphas[-1] == 2 else alphas[-1] - mu
         case = _CASES.get((lo, hi), CaseLabel.VII)
-        if digits is None:
-            pair = None
-        elif p in (2, 5):  # p never divides the repetition number: v = 0
+        if p in (2, 5):
             pair = _VACUOUS if lo == 0 and case is not CaseLabel.VII else _IMPOSSIBLE
         elif case is CaseLabel.VII:
             pair = _IMPOSSIBLE
@@ -181,53 +185,18 @@ def _constraint_table(
     return table
 
 
-def _entry(p: int, delta: int, mu: int, u: int, digits=None, budget=None) -> tuple:
-    table = _constraint_table(p, delta, mu, digits, budget)
-    if u not in table:
-        raise ValueError(f"{u} is not a possible weight for (p={p}, delta={delta})")
-    return table[u]
-
-
-def classify(p: int, delta: int, u: int, mu: int) -> CaseLabel:
-    """Sort the quadruple into exactly one of the seven cases.
-
-    The case determines which divisibility conditions (if any) the prime
-    imposes on the repetition count; [vii] marks weight/exponent combinations
-    that no repetition count can realize.
-    """
-    return _entry(p, delta, mu, u)[0]
-
-
-def constraint_pair(
-    record: CrucialPrimeRecord, u: int, digits: int, budget: int | None = None
-) -> ConstraintPair:
-    """Divisibility conditions under which record.p realizes weight u.
-
-    For p = 2 and p = 5 the repetition number is never divisible by p, so the
-    pair is either vacuous or impossible; impossible combinations get the
-    always-false pair (nothing required, 1 excluded).
-    """
-    return _entry(record.p, abs(record.delta), record.mu, u, digits, budget)[1]
-
-
-@dataclass(frozen=True)
-class CharSolution:
-    """One admissible assignment of balance weights, ordered by crucial prime."""
-
-    values: tuple[int, ...]
-
-
 def solve_characteristic(
     records: tuple[CrucialPrimeRecord, ...],
-) -> tuple[CharSolution, ...]:
-    """All weight tuples that zero out the signed sum, in lexicographic order.
+) -> tuple[tuple[int, ...], ...]:
+    """All weight tuples, one weight per crucial prime in record order, that
+    zero out the signed sum, in lexicographic order.
 
     Depth-first over the primes; a branch is entered only while the reachable
     sums include zero, and the last prime's weight is then fixed by the sum.
     """
     if not records:
         raise ValueError("solve_characteristic requires at least one record")
-    weights = [tuple(_constraint_table(r.p, abs(r.delta), r.mu)) for r in records]
+    weights = [weight_range(r.p, abs(r.delta)) for r in records]
     signs = [r.sign for r in records]
     last = len(records) - 1
     # lo[i], hi[i]: the least and greatest signed sum of the weights from i on
@@ -236,14 +205,14 @@ def solve_characteristic(
         ends = (signs[i] * weights[i][0], signs[i] * weights[i][-1])
         lo[i] = lo[i + 1] + min(ends)
         hi[i] = hi[i + 1] + max(ends)
-    out: list[CharSolution] = []
+    out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def walk(i: int, total: int) -> None:
         if i == last:
             u = -signs[i] * total
             if u in weights[i]:
-                out.append(CharSolution((*prefix, u)))
+                out.append((*prefix, u))
             return
         for u in weights[i]:
             t = total + signs[i] * u
@@ -258,13 +227,14 @@ def solve_characteristic(
 
 @dataclass(frozen=True)
 class SolutionConstraints:
-    """A characteristic solution with its assembled divisibility constraints.
+    """A characteristic solution (one weight per crucial prime) with its
+    assembled divisibility constraints.
 
     degenerate means the constraint set is unsatisfiable: some excluded
     modulus already divides the lcm of the required ones.
     """
 
-    solution: CharSolution
+    solution: tuple[int, ...]
     required: frozenset[int]
     excluded: frozenset[int]
     degenerate: bool
@@ -273,15 +243,15 @@ class SolutionConstraints:
 
 
 def assemble_constraints(
-    solution: CharSolution,
+    solution: tuple[int, ...],
     records: tuple[CrucialPrimeRecord, ...],
     digits: int,
     budget: int | None = None,
 ) -> SolutionConstraints:
     """Union the per-prime pairs and flag unsatisfiable solutions."""
     entries = [
-        _entry(r.p, abs(r.delta), r.mu, u, digits, budget)
-        for r, u in zip(records, solution.values, strict=True)
+        constraint_table(r.p, abs(r.delta), r.mu, digits, budget)[u]
+        for r, u in zip(records, solution, strict=True)
     ]
     cases = tuple(case for case, _ in entries)
     pairs = tuple(pair for _, pair in entries)

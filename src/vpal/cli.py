@@ -2,7 +2,9 @@
 tables, counterexample searches, and spectrum utilities.
 
 Exit codes: 0 success, 1 verification disagreement or disagreeing spectrum
-periods, 2 invalid input, 3 budget exhaustion under --strict.
+periods, 2 invalid input, 3 budget exhaustion: a number the command needs
+cannot be factored within the budget, with or without --strict.  --strict
+governs only verify's UNVERIFIED rows, which then exit 3 as well.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def render_report(report: AnalysisReport) -> str:
     lines.append(f"characteristic solutions: {n_sol}")
     for i, cons in enumerate(report.constraints, 1):
         tag = "degenerate" if cons.degenerate else "nondegenerate"
-        lines.append(f"  u{i} = ({', '.join(str(v) for v in cons.solution.values)})  {tag}")
+        lines.append(f"  u{i} = ({', '.join(str(v) for v in cons.solution)})  {tag}")
     if n_sol:
         lines.append("")
         lines.append("case table:")

@@ -11,7 +11,6 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .characteristic import (
-    CharSolution,
     CrucialPrimeRecord,
     SolutionConstraints,
     assemble_constraints,
@@ -155,10 +154,6 @@ class AnalysisReport:
     omega_b: int
 
     @property
-    def solutions(self) -> tuple[CharSolution, ...]:
-        return tuple(c.solution for c in self.constraints)
-
-    @property
     def nondegenerate(self) -> tuple[SolutionConstraints, ...]:
         return tuple(c for c in self.constraints if not c.degenerate)
 
@@ -197,7 +192,7 @@ class AnalysisReport:
             ],
             "solutions": [
                 {
-                    "values": [str(v) for v in c.solution.values],
+                    "values": [str(v) for v in c.solution],
                     "cases": [case.value for case in c.cases],
                     "pairs": [table[pair] for table, pair in zip(pair_dicts, c.pairs)],
                     "required": [str(a) for a in sorted(c.required)],
@@ -228,17 +223,15 @@ def analyze(n: int, budget: int | None = None) -> AnalysisReport:
     the survivors into the canonical combination and computes omega_f and
     omega_b; order and omega0 are read off the combination.
 
-    _pipeline is memoized on the records with every sign flipped when the
-    first one is negative (_signature), so n and its reversal, whose records
-    differ exactly by that flip, share one run.  The report keeps n's own
-    records.  Both memos see budget None as DEFAULT_BUDGET, so every way of
-    passing the default finds the same report.
+    The report itself is built afresh on every call.  The one memo of the
+    pipeline is _pipeline's, keyed on the records with every sign flipped when the first
+    one is negative (_signature), so n and its reversal, whose records differ
+    exactly by that flip, share one run.  The report keeps n's own records.
+    Budget None means DEFAULT_BUDGET, so every way of passing the default
+    reaches the same _pipeline entry and the same factorizations.
     """
-    return _analyze_cached(n, budget if budget is not None else DEFAULT_BUDGET)
-
-
-@lru_cache(maxsize=1 << 12)
-def _analyze_cached(n: int, budget: int) -> AnalysisReport:
+    if budget is None:
+        budget = DEFAULT_BUDGET
     records = crucial_primes(n, budget)
     rev = reverse_digits(n)
     d = digit_count(n)
@@ -296,9 +289,10 @@ def _pipeline(
     )
 
 
-def type_of(n: int, k: int, budget: int | None = None) -> CharSolution | None:
-    """The unique surviving solution whose divisibility set contains k, or
-    None; uniqueness holds because the sets are pairwise disjoint."""
+def type_of(n: int, k: int, budget: int | None = None) -> tuple[int, ...] | None:
+    """The weight tuple of the unique surviving solution whose divisibility
+    set contains k, or None; uniqueness holds because the sets are pairwise
+    disjoint."""
     if k < 1:
         raise ValueError("type_of requires k >= 1")
     for cons in analyze(n, budget).nondegenerate:

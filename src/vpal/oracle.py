@@ -17,6 +17,7 @@ from .characteristic import balance_weight, check_eligible, in_divisibility_set
 from .errors import BudgetExceeded, InvalidInput
 from .indicator import AnalysisReport, Singleton, analyze, evaluate
 from .numbers import (
+    DEFAULT_BUDGET,
     concat,
     digit_count,
     factorization_sum_of,
@@ -57,11 +58,14 @@ def brute_force_flag(
     Phi_m(10) (repetition_factorization), each piece with the full budget.
     Returns UNVERIFIED instead of raising when the factoring budget runs out:
     in direct mode on either integer, in accelerated mode on n, its reversal
-    or a single Phi_m(10) piece.
+    or a single Phi_m(10) piece.  Budget None means DEFAULT_BUDGET, so both
+    spellings of the default share one repetition_factorization memo entry.
     """
     check_eligible(n)
     if k < 1:
         raise ValueError("brute_force_flag requires k >= 1")
+    if budget is None:
+        budget = DEFAULT_BUDGET
     try:
         if accelerated:
             rep = repetition_factorization(k, digit_count(n), budget)
@@ -120,7 +124,7 @@ def cross_check(n: int, k: int, budget: int | None = None) -> bool:
         balance_weight(r.p, abs(r.delta), r.mu + padic_order(rep, r.p)) for r in report.records
     )
     for cons in report.constraints:
-        direct = weights == cons.solution.values
+        direct = weights == cons.solution
         via_sets = in_divisibility_set(cons.required, cons.excluded, k)
         if direct != via_sets:
             return False

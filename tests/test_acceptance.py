@@ -116,7 +116,7 @@ def test_criterion_2_walkthrough_of_126():
             (7, 1, 0, 1, 0),
             (23, 0, 1, -1, 0),
         ]
-        assert [c.solution.values for c in report.constraints] == [
+        assert [c.solution for c in report.constraints] == [
             (1, 1, 1, 1),
             (1, 1, 2, 2),
             (1, 2, 2, 1),

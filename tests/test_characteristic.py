@@ -8,13 +8,11 @@ import sympy
 
 from vpal import (
     CaseLabel,
-    CharSolution,
     InvalidInput,
     assemble_constraints,
     balance_weight,
     check_eligible,
-    classify,
-    constraint_pair,
+    constraint_table,
     crucial_primes,
     digit_count,
     in_divisibility_set,
@@ -67,10 +65,10 @@ class TestBalanceWeight:
         assert balance_weight(3, 2, 1) == 3
 
     def test_ranges(self):
-        assert weight_range(2, 1) == {1, 2}
-        assert weight_range(7, 1) == {1, 2, 7}
-        assert weight_range(3, 1) == {1, 2, 3}
-        assert weight_range(2, 2) == {2, 3, 4}
+        assert weight_range(2, 1) == (1, 2)
+        assert weight_range(7, 1) == (1, 2, 7)
+        assert weight_range(3, 1) == (1, 2, 3)
+        assert weight_range(2, 2) == (2, 3, 4)
 
     def test_range_size(self):
         for p in (2, 3, 5, 7, 11, 13):
@@ -105,18 +103,22 @@ def _preimage_by_scan(p, delta, u):
     return "two_or_more"
 
 
+def case_of(p, delta, u, mu, digits=1):
+    return constraint_table(p, delta, mu, digits)[u][0]
+
+
 class TestClassifier:
     def test_spot_values(self):
-        assert classify(2, 1, 1, 0) is CaseLabel.V
-        assert classify(3, 1, 1, 2) is CaseLabel.VI
-        assert classify(2, 1, 2, 0) is CaseLabel.III
+        assert case_of(2, 1, 1, 0) is CaseLabel.V
+        assert case_of(3, 1, 1, 2) is CaseLabel.VI
+        assert case_of(2, 1, 2, 0) is CaseLabel.III
 
     def test_case_table_126(self):
         # rows p = 2, 3, 7, 23 against the seven solutions of 126
         records = crucial_primes(126)
         solutions = solve_characteristic(records)
         table = [
-            [str(classify(r.p, abs(r.delta), sol.values[i], r.mu)) for sol in solutions]
+            [str(case_of(r.p, abs(r.delta), sol[i], r.mu, 3)) for sol in solutions]
             for i, r in enumerate(records)
         ]
         assert table == [
@@ -146,12 +148,12 @@ class TestClassifier:
                         holders = [label for label, holds in predicates.items() if holds]
                         assert len(holders) <= 1
                         expected = holders[0] if holders else CaseLabel.VII
-                        assert classify(p, delta, u, mu) is expected
+                        assert case_of(p, delta, u, mu) is expected
 
 
 class TestSolver:
     def test_126_solutions(self):
-        got = [s.values for s in solve_characteristic(crucial_primes(126))]
+        got = list(solve_characteristic(crucial_primes(126)))
         assert got == [
             (1, 1, 1, 1),
             (1, 1, 2, 2),
@@ -168,7 +170,7 @@ class TestSolver:
         records = crucial_primes(12)
         assert [(r.p, r.delta) for r in records] == [(2, 2), (7, -1)]
         solutions = solve_characteristic(records)
-        assert [s.values for s in solutions] == [(2, 2)]
+        assert solutions == ((2, 2),)
         cons = assemble_constraints(solutions[0], records, digit_count(12))
         assert cons.degenerate
 
@@ -179,33 +181,51 @@ class TestSolver:
     def test_completeness_against_product_filter(self):
         for n in (126, 13, 18, 122, 5957, 21726):
             records = crucial_primes(n)
-            ranges = [sorted(weight_range(r.p, abs(r.delta))) for r in records]
+            ranges = [weight_range(r.p, abs(r.delta)) for r in records]
             naive = [
                 tup
                 for tup in product(*ranges)
                 if sum(s * u for s, u in zip([r.sign for r in records], tup)) == 0
             ]
-            assert [s.values for s in solve_characteristic(records)] == naive
+            assert list(solve_characteristic(records)) == naive
 
     def test_lexicographic_order(self):
-        values = [s.values for s in solve_characteristic(crucial_primes(21726))]
-        assert values == sorted(values)
+        values = solve_characteristic(crucial_primes(21726))
+        assert list(values) == sorted(values)
+
+
+def pair_of(record, u, digits):
+    return constraint_table(record.p, abs(record.delta), record.mu, digits)[u][1]
 
 
 class TestConstraintPairs:
     def test_table_entries_for_126(self):
         records = {r.p: r for r in crucial_primes(126)}
-        pair = constraint_pair(records[7], 2, 3)
+        pair = pair_of(records[7], 2, 3)
         assert (set(pair.required), set(pair.excluded)) == ({2}, {14})
-        pair = constraint_pair(records[23], 2, 3)
+        pair = pair_of(records[23], 2, 3)
         assert (set(pair.required), set(pair.excluded)) == ({22}, {506})
-        pair = constraint_pair(records[3], 1, 3)
+        pair = pair_of(records[3], 1, 3)
         assert (set(pair.required), set(pair.excluded)) == (set(), set())
 
     def test_always_false_pair_for_2_and_5(self):
         record = crucial_primes(126)[0]  # p = 2, delta = 1, mu = 0
-        pair = constraint_pair(record, 1, 3)  # weight 1 needs lift >= 2: impossible
+        pair = pair_of(record, 1, 3)  # weight 1 needs lift >= 2: impossible
         assert (set(pair.required), set(pair.excluded)) == (set(), {1})
+
+    def test_table_keys_are_the_weight_range(self):
+        # the solver draws weights from weight_range and assembly looks them
+        # up in the table, so the two must list the same weights in order
+        for p in [q for q in range(2, 60) if sympy.isprime(q)]:
+            for delta in range(1, 5):
+                for mu in range(5):
+                    for digits in range(1, 4):
+                        table = constraint_table(p, delta, mu, digits)
+                        assert tuple(table) == weight_range(p, delta), (p, delta, mu, digits)
+
+    def test_rejects_negative_mu(self):
+        with pytest.raises(ValueError, match="constraint_table requires mu >= 0"):
+            constraint_table(3, 1, -1, 1)
 
     def test_full_constraint_table_126(self):
         records = crucial_primes(126)
@@ -313,8 +333,3 @@ class TestDivisibilitySets:
                     window_checked += 1
         assert window_checked > 10
 
-
-class TestCharSolution:
-    def test_value_semantics(self):
-        assert CharSolution((2, 2)) == CharSolution((2, 2))
-        assert CharSolution((2, 2)) != CharSolution((2, 3))

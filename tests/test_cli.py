@@ -79,6 +79,14 @@ class TestAnalyze:
         assert code == EXIT_INVALID
         assert "palindrome" in err
 
+    def test_unfactorable_n_exits_3_without_strict(self, capsys):
+        # 3 * 10^54 + 1 keeps a 49-digit cofactor that 10^4 iterations cannot split
+        n = str(3 * 10**54 + 1)
+        code, out, err = run_cli(capsys, "--budget", "10000", "analyze", n)
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_multiple_of_ten_rejected(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "560")
         assert code == EXIT_INVALID
@@ -130,6 +138,13 @@ class TestVerify:
             capsys, "--budget", "10000", "verify", "48", "--kmax", "22", "--strict", "--accelerated"
         )
         assert code == EXIT_BUDGET
+        assert "UNVERIFIED" in out
+
+    def test_unverified_rows_exit_0_without_strict(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--budget", "10000", "verify", "48", "--kmax", "22", "--accelerated"
+        )
+        assert code == EXIT_OK
         assert "UNVERIFIED" in out
 
     def test_disagreement_exit(self, capsys, monkeypatch):

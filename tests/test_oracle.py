@@ -3,6 +3,7 @@
 import pytest
 
 from vpal import (
+    DEFAULT_BUDGET,
     UNVERIFIED,
     InvalidInput,
     SearchProperty,
@@ -12,6 +13,7 @@ from vpal import (
     cross_check,
     analyze,
     evaluate,
+    repetition_factorization,
     reverse_digits,
     search_iter,
     verify,
@@ -50,6 +52,15 @@ class TestBruteForce:
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInput):
             brute_force_flag(560, 2)
+
+    def test_every_spelling_of_the_default_budget_is_one_memo_entry(self):
+        # regression: budget None reached repetition_factorization as its own
+        # cache key, so the default spelled two ways factored every k twice
+        repetition_factorization.cache_clear()
+        verify(48, 20, accelerated=True)
+        verify(48, 20, DEFAULT_BUDGET, accelerated=True)
+        info = repetition_factorization.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (20, 20, 20)
 
 
 class TestVerify:
