@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import InvalidInput
-from .numbers import factorize, repetition_order, reverse_digits
+from .numbers import DEFAULT_BUDGET, factorize, repetition_order, reverse_digits
 
 
 def check_eligible(n: int) -> None:
@@ -53,7 +53,7 @@ class CrucialPrimeRecord:
         return 1 if self.delta > 0 else -1
 
 
-def crucial_primes(n: int, budget: int | None = None) -> tuple[CrucialPrimeRecord, ...]:
+def crucial_primes(n: int, budget: int = DEFAULT_BUDGET) -> tuple[CrucialPrimeRecord, ...]:
     """Records for every prime with differing exponents, sorted by prime.
 
     Checks that n is eligible, then factors n and its reversal.  Nonempty for
@@ -141,7 +141,7 @@ _IMPOSSIBLE = ConstraintPair(_EMPTY, frozenset({1}))
 
 @lru_cache(maxsize=1 << 12)
 def constraint_table(
-    p: int, delta: int, mu: int, digits: int, budget: int | None = None
+    p: int, delta: int, mu: int, digits: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, tuple[CaseLabel, ConstraintPair]]:
     """Case and constraint pair of every weight u of (p, delta, mu), by
     ascending u: the keys are weight_range(p, delta).
@@ -246,7 +246,7 @@ def assemble_constraints(
     solution: tuple[int, ...],
     records: tuple[CrucialPrimeRecord, ...],
     digits: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> SolutionConstraints:
     """Union the per-prime pairs and flag unsatisfiable solutions."""
     entries = [

@@ -302,7 +302,7 @@ def _parse_samples(text: str) -> PeriodicSamples:
         values.append(value)
     if not values:
         raise InvalidInput("empty sample list")
-    return PeriodicSamples(len(values), tuple(values))
+    return PeriodicSamples(tuple(values))
 
 
 def _fmt_coeff(coeff) -> str:

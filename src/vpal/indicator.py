@@ -211,7 +211,7 @@ class AnalysisReport:
         }
 
 
-def analyze(n: int, budget: int | None = None) -> AnalysisReport:
+def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
     """Run the whole pipeline for one number.  The report holds the indicator
     combination and everything read off it: c(n) as order, omega0, omega_f
     and omega_b.
@@ -227,11 +227,7 @@ def analyze(n: int, budget: int | None = None) -> AnalysisReport:
     pipeline is _pipeline's, keyed on the records with every sign flipped when the first
     one is negative (_signature), so n and its reversal, whose records differ
     exactly by that flip, share one run.  The report keeps n's own records.
-    Budget None means DEFAULT_BUDGET, so every way of passing the default
-    reaches the same _pipeline entry and the same factorizations.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
     records = crucial_primes(n, budget)
     rev = reverse_digits(n)
     d = digit_count(n)
@@ -289,13 +285,13 @@ def _pipeline(
     )
 
 
-def type_of(n: int, k: int, budget: int | None = None) -> tuple[int, ...] | None:
+def type_of(n: int, k: int) -> tuple[int, ...] | None:
     """The weight tuple of the unique surviving solution whose divisibility
     set contains k, or None; uniqueness holds because the sets are pairwise
     disjoint."""
     if k < 1:
         raise ValueError("type_of requires k >= 1")
-    for cons in analyze(n, budget).nondegenerate:
+    for cons in analyze(n).nondegenerate:
         if in_divisibility_set(cons.required, cons.excluded, k):
             return cons.solution
     return None

@@ -15,11 +15,11 @@ from functools import lru_cache
 
 from .errors import BudgetExceeded, InvalidPrime, NotCoprime
 
-#: Brent iterations allowed per factorize() call.  Large enough that every
-#: composite of up to ~26 digits splits (worst case: a balanced semiprime
-#: needs on the order of sqrt(p) iterations for its smaller factor p).
-#: Perfect powers such as p**2 are split by root extraction and spend none of
-#: it, whatever their size.
+#: Brent iterations allowed per factorize() call; every `budget` in the package
+#: defaults to it.  Large enough that every composite of up to ~26 digits
+#: splits (worst case: a balanced semiprime needs on the order of sqrt(p)
+#: iterations for its smaller factor p).  Perfect powers such as p**2 are split
+#: by root extraction and spend none of it, whatever their size.
 DEFAULT_BUDGET = 20_000_000
 
 _TRIAL_LIMIT = 10_000
@@ -259,7 +259,7 @@ def _brent_factor(n: int, budget: _Budget) -> int:
             return g
 
 
-def factorize(n: int, budget: int | None = None) -> Factorization:
+def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     """Complete factorization of n >= 1; empty for n = 1.
 
     Trial division by primes below 10^4 first.  A composite survivor that is
@@ -275,7 +275,7 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    result = _factorize_cached(n, budget if budget is not None else DEFAULT_BUDGET)
+    result = _factorize_cached(n, budget)
     if isinstance(result, BudgetExceeded):
         raise result
     return result
@@ -344,12 +344,12 @@ def factorization_sum_of(factorization: Factorization) -> int:
     return sum(p + (e if e >= 2 else 0) for p, e in factorization)
 
 
-def factorization_sum(n: int, budget: int | None = None) -> int:
+def factorization_sum(n: int, budget: int = DEFAULT_BUDGET) -> int:
     """The factorization sum of n >= 1; 1 for n = 1 by convention."""
     return factorization_sum_of(factorize(n, budget))
 
 
-def is_v_palindrome(n: int, budget: int | None = None) -> bool:
+def is_v_palindrome(n: int, budget: int = DEFAULT_BUDGET) -> bool:
     """True when 10 does not divide n, n is not a palindrome, and n and its
     digit reversal have equal factorization sums."""
     if n < 1:
@@ -399,7 +399,7 @@ def cyclotomic_value(m: int) -> int:
 
 
 @lru_cache(maxsize=1 << 10)
-def repetition_factorization(k: int, digits: int, budget: int | None = None) -> Factorization:
+def repetition_factorization(k: int, digits: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     """Factorization of repetition_number(k, digits), split along the
     cyclotomic factors of 10**(digits*k) - 1.
 
@@ -439,7 +439,7 @@ def padic_order(n: int, p: int) -> int:
     return e
 
 
-def multiplicative_order(a: int, m: int, budget: int | None = None) -> int:
+def multiplicative_order(a: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
     """Least t >= 1 with a**t = 1 (mod m).
 
     Starts from the group order (Euler phi of m, with its known factorization)
@@ -470,7 +470,7 @@ def multiplicative_order(a: int, m: int, budget: int | None = None) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def repetition_order(p: int, alpha: int, digits: int, budget: int | None = None) -> int:
+def repetition_order(p: int, alpha: int, digits: int, budget: int = DEFAULT_BUDGET) -> int:
     """Least t >= 1 with (10**digits)**t = 1 modulo p**(alpha + e0), where e0
     is the p-adic order of 10**digits - 1.
 
@@ -488,9 +488,9 @@ def repetition_order(p: int, alpha: int, digits: int, budget: int | None = None)
     return multiplicative_order(pow(10, digits, modulus), modulus, budget)
 
 
-def divisors(n: int, budget: int | None = None) -> list[int]:
+def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     divs = [1]
-    for p, e in factorize(n, budget):
+    for p, e in factorize(n):
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)

@@ -1,9 +1,12 @@
-"""Ground truth by direct construction, and searches built on top of it.
+"""Ground truth by brute force, and the checks and searches that read the
+indicator pipeline.
 
-The oracle decides each case by actually building the concatenated integer,
-reversing its digit string, and factoring both sides; nothing is shared with
-the indicator pipeline except the integer primitives, so agreement between
-the two is evidence, not tautology.
+brute_force_flag alone stays independent of the pipeline: it shares only the
+integer primitives (numbers) and the eligibility check, so agreement between
+the two is evidence, not tautology.  Direct mode builds the concatenated
+integer and its digit reversal and factors both; accelerated mode merges the
+factorizations of n, its reversal and the repetition number.  verify,
+cross_check and search_iter read the pipeline's analyze.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ CHUNK_SIZE = 512
 
 
 def brute_force_flag(
-    n: int, k: int, budget: int | None = None, accelerated: bool = False
+    n: int, k: int, budget: int = DEFAULT_BUDGET, accelerated: bool = False
 ) -> Flag:
     """Decide the k-fold concatenation of n by explicit construction.
 
@@ -58,14 +61,11 @@ def brute_force_flag(
     Phi_m(10) (repetition_factorization), each piece with the full budget.
     Returns UNVERIFIED instead of raising when the factoring budget runs out:
     in direct mode on either integer, in accelerated mode on n, its reversal
-    or a single Phi_m(10) piece.  Budget None means DEFAULT_BUDGET, so both
-    spellings of the default share one repetition_factorization memo entry.
+    or a single Phi_m(10) piece.
     """
     check_eligible(n)
     if k < 1:
         raise ValueError("brute_force_flag requires k >= 1")
-    if budget is None:
-        budget = DEFAULT_BUDGET
     try:
         if accelerated:
             rep = repetition_factorization(k, digit_count(n), budget)
@@ -96,7 +96,7 @@ class VerificationRow:
 def verify(
     n: int,
     k_max: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     accelerated: bool = False,
 ) -> tuple[VerificationRow, ...]:
     """Compare the indicator prediction with brute force for k = 1..k_max."""
@@ -110,7 +110,7 @@ def verify(
     return tuple(rows)
 
 
-def cross_check(n: int, k: int, budget: int | None = None) -> bool:
+def cross_check(n: int, k: int) -> bool:
     """Check the constraint encoding against direct p-adic computation.
 
     For every characteristic solution, the weight tuple computed on the
@@ -118,7 +118,7 @@ def cross_check(n: int, k: int, budget: int | None = None) -> bool:
     the solution's divisibility set.  Returns True when every solution's two
     verdicts agree (including the no-match case).
     """
-    report = analyze(n, budget)
+    report = analyze(n)
     rep = repetition_number(k, report.digits)
     weights = tuple(
         balance_weight(r.p, abs(r.delta), r.mu + padic_order(rep, r.p)) for r in report.records
@@ -167,7 +167,7 @@ def _eligible(n: int) -> bool:
     return n % 10 != 0 and reverse_digits(n) != n
 
 
-def _scan_chunk(args: tuple[int, int, SearchProperty, int | None]) -> list[AnalysisReport]:
+def _scan_chunk(args: tuple[int, int, SearchProperty, int]) -> list[AnalysisReport]:
     start, stop, prop, budget = args
     hits = []
     for n in range(start, stop):
@@ -183,7 +183,7 @@ def search_iter(
     range_end: int,
     prop: SearchProperty,
     workers: int = 1,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ):
     """Scan eligible n in 2..range_end for the property, yielding the
     AnalysisReport of each hit in increasing n as its chunk completes.
@@ -194,11 +194,10 @@ def search_iter(
     """
     if range_end < 2:
         raise InvalidInput("range_end must be >= 2")
-    chunks = [
-        (start, min(start + CHUNK_SIZE, range_end + 1), prop, budget)
-        for start in range(2, range_end + 1, CHUNK_SIZE)
-    ]
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    # a chunk is made when the scan reaches it: a list of them all would not fit at 10**10
+    starts = range(2, range_end + 1, CHUNK_SIZE)
+    chunks = ((start, min(start + CHUNK_SIZE, range_end + 1), prop, budget) for start in starts)
+    workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers <= 1:
         for chunk in chunks:
             yield from _scan_chunk(chunk)

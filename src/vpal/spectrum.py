@@ -108,16 +108,17 @@ class SpectralMap:
 
 @dataclass(frozen=True)
 class PeriodicSamples:
-    """One window of a periodic function: values[x] = f(x) for 0 <= x < period."""
+    """One window of a periodic function: values[x] = f(x) for 0 <= x < period = len(values)."""
 
-    period: int
     values: tuple
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
-        if len(self.values) != self.period:
-            raise ValueError("need exactly one value per residue")
+        if not self.values:
+            raise ValueError("need at least one sample")
+
+    @property
+    def period(self) -> int:
+        return len(self.values)
 
 
 def support_period(g: SpectralMap) -> int:
@@ -197,7 +198,7 @@ def spectrum_to_samples(g: SpectralMap, omega: int) -> PeriodicSamples:
         for x in range(omega):
             acc[x] += c * cur
             cur *= step
-    return PeriodicSamples(omega, tuple(acc))
+    return PeriodicSamples(tuple(acc))
 
 
 def gcd_period(s: PeriodicSamples) -> int:

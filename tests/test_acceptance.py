@@ -226,7 +226,7 @@ def test_criterion_6_spectral_property_suite():
                 values = tuple(
                     complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(w)
                 )
-            s = PeriodicSamples(w, values)
+            s = PeriodicSamples(values)
             g = samples_to_spectrum(s)
             assert support_period(g) == gcd_period(s) == naive_fundamental_period(s)
             back = spectrum_to_samples(g, w)

@@ -152,7 +152,7 @@ class TestVerify:
 
         real = vpal.cli.verify
 
-        def sabotaged(n, k_max, budget=None, accelerated=False):
+        def sabotaged(n, k_max, budget, accelerated=False):
             rows = real(n, k_max, budget, accelerated)
             broken = rows[0].__class__(rows[0].k, not rows[0].predicted, rows[0].observed)
             return (broken,) + rows[1:]

@@ -256,12 +256,11 @@ class TestAnalyze:
             assert [pair["p"] for pair in solution["pairs"]] == [str(r.p) for r in report.records]
 
     def test_every_spelling_of_the_default_budget_is_one_memo_entry(self):
-        # regression: None, the default and DEFAULT_BUDGET, positional or by
+        # regression: the default and DEFAULT_BUDGET, positional or by
         # keyword, were separate cache keys and ran _pipeline twice
         _pipeline.cache_clear()
         reports = [
             analyze(126),
-            analyze(126, None),
             analyze(126, DEFAULT_BUDGET),
             analyze(126, budget=DEFAULT_BUDGET),
         ]

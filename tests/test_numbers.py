@@ -1,5 +1,6 @@
 """Integer primitives: reversal, factoring, factorization sums, repetition."""
 
+import inspect
 import math
 import random
 
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vpal
 from vpal import (
     BudgetExceeded,
     Factorization,
@@ -361,3 +363,33 @@ class TestDivisors:
         assert divisors(1) == [1]
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert divisors(3542) == sorted(sympy.divisors(3542))
+
+
+class TestBudgetDefault:
+    BUDGETED = {
+        "factorize",
+        "factorization_sum",
+        "is_v_palindrome",
+        "repetition_factorization",
+        "multiplicative_order",
+        "repetition_order",
+        "crucial_primes",
+        "constraint_table",
+        "assemble_constraints",
+        "analyze",
+        "brute_force_flag",
+        "verify",
+        "search_iter",
+    }
+
+    def test_every_budget_defaults_to_the_one_int(self):
+        # inspect.signature sees through lru_cache to the wrapped function
+        budgeted = {}
+        for name, obj in vars(vpal).items():
+            if name.startswith("_") or inspect.isclass(obj) or not callable(obj):
+                continue
+            param = inspect.signature(obj).parameters.get("budget")
+            if param is not None:
+                budgeted[name] = param.default
+        assert set(budgeted) == self.BUDGETED
+        assert all(default == vpal.DEFAULT_BUDGET for default in budgeted.values()), budgeted

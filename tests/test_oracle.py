@@ -1,5 +1,7 @@
 """Brute-force ground truth, prediction verification, and searches."""
 
+import tracemalloc
+
 import pytest
 
 from vpal import (
@@ -151,6 +153,20 @@ class TestSearch:
         serial = list(search_iter(1100, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=1))
         parallel = list(search_iter(1100, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=2))
         assert serial == parallel
+
+    def test_first_hit_of_a_huge_range_needs_no_chunk_list(self):
+        # regression: a tuple for every chunk of the range was built before
+        # the first chunk was scanned, 29.5 MB at 10**8 to return 126
+        tracemalloc.start()
+        try:
+            scan = search_iter(10**8, SearchProperty.CONJ1_COUNTEREXAMPLE)
+            first = next(scan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scan.close()
+        assert first.n == 126
+        assert peak < 5_000_000
 
     def test_rejects_trivial_range(self):
         with pytest.raises(InvalidInput):

@@ -74,25 +74,34 @@ class TestSupportPeriod:
         assert support_period(combination_spectrum(analyze(126).combination)) == 3542
 
 
+class TestPeriodicSamples:
+    def test_period_is_the_window_length(self):
+        assert PeriodicSamples((1, 0, 0)).period == 3
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError):
+            PeriodicSamples(())
+
+
 class TestSamplesToSpectrum:
     def test_constant(self):
-        g = samples_to_spectrum(PeriodicSamples(1, (5,)))
+        g = samples_to_spectrum(PeriodicSamples((5,)))
         assert len(g) == 1
         assert abs(g.coefficient(RootIndex(0, 1)) - 5) < 1e-12
 
     def test_two_point(self):
-        g = samples_to_spectrum(PeriodicSamples(2, (1, 0)))
+        g = samples_to_spectrum(PeriodicSamples((1, 0)))
         for root in (RootIndex(0, 1), RootIndex(1, 2)):
             assert abs(g.coefficient(root) - 0.5) < 1e-12
 
     def test_four_point_pulse(self):
-        g = samples_to_spectrum(PeriodicSamples(4, (1, 0, 0, 0)))
+        g = samples_to_spectrum(PeriodicSamples((1, 0, 0, 0)))
         assert len(g) == 4
         assert all(abs(c - 0.25) < 1e-12 for _, c in g.items())
 
     @pytest.mark.parametrize("a", range(1, 41))
     def test_matches_exact_indicator_spectrum(self, a):
-        samples = PeriodicSamples(a, tuple(1 if x % a == 0 else 0 for x in range(a)))
+        samples = PeriodicSamples(tuple(1 if x % a == 0 else 0 for x in range(a)))
         g = samples_to_spectrum(samples)
         exact = indicator_spectrum(a)
         assert {r for r, _ in g.items()} == {r for r, _ in exact.items()}
@@ -110,7 +119,7 @@ class TestSamplesToSpectrum:
         ids=["sums-overflow", "w-times-max", "abs-overflows", "int-beyond-float"],
     )
     def test_window_beyond_float_range_rejected(self, values):
-        s = PeriodicSamples(len(values), values)
+        s = PeriodicSamples(values)
         with pytest.raises(InvalidInput, match="too large"):
             samples_to_spectrum(s)
         with pytest.raises(InvalidInput, match="too large"):
@@ -118,7 +127,7 @@ class TestSamplesToSpectrum:
 
     def test_window_at_float_range_transforms_finitely(self):
         big = sys.float_info.max / 4
-        s = PeriodicSamples(4, (big, big, -big, -big))
+        s = PeriodicSamples((big, big, -big, -big))
         g = samples_to_spectrum(s)
         assert all(cmath.isfinite(c) for _, c in g.items())
         assert support_period(g) == gcd_period(s) == naive_fundamental_period(s) == 4
@@ -150,7 +159,7 @@ class TestTransformTable:
     def test_bit_identical_to_direct_formula(self):
         for values in self._windows():
             w = len(values)
-            s = PeriodicSamples(w, tuple(values))
+            s = PeriodicSamples(tuple(values))
             inverse = _direct_transform(values, -1)
             expected = SpectralMap({RootIndex.reduced(r, w): c for r, c in enumerate(inverse)})
             got = samples_to_spectrum(s)
@@ -185,44 +194,44 @@ class TestSpectrumToSamples:
                 vals = tuple(
                     complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(w)
                 )
-            s = PeriodicSamples(w, vals)
+            s = PeriodicSamples(vals)
             back = spectrum_to_samples(samples_to_spectrum(s), w)
             assert max(abs(a - b) for a, b in zip(back.values, s.values)) < 1e-9
 
 
 class TestPeriodFormulas:
     def test_constant_window(self):
-        s = PeriodicSamples(12, (3,) * 12)
+        s = PeriodicSamples((3,) * 12)
         assert gcd_period(s) == 1
         assert naive_fundamental_period(s) == 1
 
     def test_restricted_indicator(self):
-        s = PeriodicSamples(6, (1, 0, 0, 1, 0, 0))
+        s = PeriodicSamples((1, 0, 0, 1, 0, 0))
         assert gcd_period(s) == 3
         assert naive_fundamental_period(s) == 3
         assert support_period(samples_to_spectrum(s)) == 3
 
     def test_naive_examples(self):
-        assert naive_fundamental_period(PeriodicSamples(4, (1, 0, 1, 0))) == 2
-        assert naive_fundamental_period(PeriodicSamples(6, (1, 2, 3, 1, 2, 3))) == 3
+        assert naive_fundamental_period(PeriodicSamples((1, 0, 1, 0))) == 2
+        assert naive_fundamental_period(PeriodicSamples((1, 2, 3, 1, 2, 3))) == 3
 
     def test_naive_rejects_window_beyond_float_range(self):
         # |1.7e308+1.7e308j - 0j| is beyond the largest float
         with pytest.raises(InvalidInput, match="too large"):
-            naive_fundamental_period(PeriodicSamples(2, (1.7e308 + 1.7e308j, 0j)))
+            naive_fundamental_period(PeriodicSamples((1.7e308 + 1.7e308j, 0j)))
 
     def test_three_formulas_agree_on_random_windows(self):
         rng = random.Random(31337)
         for _ in range(60):
             w = rng.randint(1, 48)
             vals = tuple(rng.randint(-2, 2) for _ in range(w))
-            s = PeriodicSamples(w, vals)
+            s = PeriodicSamples(vals)
             assert support_period(samples_to_spectrum(s)) == gcd_period(s) == naive_fundamental_period(s)
 
     def test_large_integer_samples(self):
         # float rounding in a coefficient grows with the samples; a fixed
         # 1e-9 threshold read it as a fourth root of unity here
-        s = PeriodicSamples(4, (10**10, 3, 10**10, 3))
+        s = PeriodicSamples((10**10, 3, 10**10, 3))
         assert support_period(samples_to_spectrum(s)) == gcd_period(s) == 2
 
     @pytest.mark.parametrize("bound", [10**9, 2**31, 10**15, 2**53])
@@ -230,7 +239,7 @@ class TestPeriodFormulas:
         rng = random.Random(f"large:{bound}")
         for _ in range(100):
             block = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 24))]
-            s = PeriodicSamples(len(block) * 3, tuple(block * 3))
+            s = PeriodicSamples(tuple(block * 3))
             assert support_period(samples_to_spectrum(s)) == gcd_period(s) == naive_fundamental_period(s)
 
     def test_shift_fixes_iff_multiple_of_fundamental(self):
@@ -238,7 +247,7 @@ class TestPeriodFormulas:
         for _ in range(30):
             w = rng.randint(2, 40)
             vals = tuple(rng.randint(0, 2) for _ in range(w))
-            s = PeriodicSamples(w, vals)
+            s = PeriodicSamples(vals)
             w0 = naive_fundamental_period(s)
             for t in range(1, 3 * w0 + 1):
                 fixes = all(vals[(i + t) % w] == vals[i] for i in range(w))
@@ -249,7 +258,7 @@ class TestPeriodFormulas:
         w0 = fundamental_period(comb)
         window = 2 * w0
         vals = tuple(evaluate(comb, x) for x in range(window))
-        assert naive_fundamental_period(PeriodicSamples(window, vals)) == w0
+        assert naive_fundamental_period(PeriodicSamples(vals)) == w0
 
 
 class TestIndicatorSpectrum:
