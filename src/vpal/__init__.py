@@ -7,17 +7,11 @@ periods (`indicator`), root-of-unity spectra (`spectrum`), a brute-force
 oracle with searches (`oracle`), and a CLI (`cli`).
 """
 
-from .errors import (
-    BudgetExceeded,
-    InvalidInput,
-    InvalidPrime,
-    NotCoprime,
-    PeriodMismatch,
-    VpalError,
-)
+from .errors import BudgetExceeded, InvalidInput, VpalError
 from .numbers import (
     DEFAULT_BUDGET,
     Factorization,
+    check_eligible,
     concat,
     cyclotomic_value,
     digit_count,
@@ -40,7 +34,6 @@ from .characteristic import (
     SolutionConstraints,
     assemble_constraints,
     balance_weight,
-    check_eligible,
     constraint_table,
     crucial_primes,
     in_divisibility_set,

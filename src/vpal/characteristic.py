@@ -14,18 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import InvalidInput
-from .numbers import DEFAULT_BUDGET, factorize, repetition_order, reverse_digits
-
-
-def check_eligible(n: int) -> None:
-    """Inputs must be positive, not multiples of 10, and not palindromes."""
-    if n < 1:
-        raise InvalidInput("n must be a positive integer")
-    if n % 10 == 0:
-        raise InvalidInput(f"{n} is a multiple of 10")
-    if reverse_digits(n) == n:
-        raise InvalidInput(f"{n} is a palindrome")
+from .numbers import DEFAULT_BUDGET, check_eligible, factorize, repetition_order, reverse_digits
 
 
 @dataclass(frozen=True)

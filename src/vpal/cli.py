@@ -17,10 +17,9 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring
 
-from .errors import InvalidInput, PeriodMismatch, VpalError
+from .errors import BudgetExceeded, InvalidInput
 from .indicator import AnalysisReport, analyze
 from .numbers import DEFAULT_BUDGET
 from .oracle import (
@@ -305,12 +304,6 @@ def _parse_samples(text: str) -> PeriodicSamples:
     return PeriodicSamples(tuple(values))
 
 
-def _fmt_coeff(coeff) -> str:
-    if isinstance(coeff, (int, Fraction)):
-        return str(coeff)
-    return format(coeff, ".6g")
-
-
 def cmd_spectrum_periods(args) -> int:
     samples = _parse_samples(args.samples)
     periods = {
@@ -331,7 +324,7 @@ def cmd_spectrum_indicator(args) -> int:
     g = indicator_spectrum(args.a)
     print(f"spectrum of the divisibility-by-{args.a} indicator: {len(g)} roots")
     for root, coeff in g.items():
-        print(f"  e({root.num}/{root.den}): {_fmt_coeff(coeff)}")
+        print(f"  e({root.num}/{root.den}): {coeff}")
     print(f"support_period = {support_period(g)}")
     return EXIT_OK
 
@@ -434,10 +427,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     try:
         return args.handler(args)
-    except (InvalidInput, PeriodMismatch, ValueError) as exc:
+    except (InvalidInput, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except VpalError as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -1,5 +1,6 @@
-"""Exact integer primitives: digit reversal, budgeted factoring, factorization
-sums, repeated concatenation, p-adic orders, and multiplicative orders.
+"""Exact integer primitives: digit reversal and the eligibility check,
+budgeted factoring, factorization sums, repeated concatenation, p-adic
+orders, and multiplicative orders.
 
 Everything here is a pure function of its arguments; results for expensive
 calls are memoized on the argument values.
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceeded, InvalidPrime, NotCoprime
+from .errors import BudgetExceeded, InvalidInput
 
 #: Brent iterations allowed per factorize() call; every `budget` in the package
 #: defaults to it.  Large enough that every composite of up to ~26 digits
@@ -277,7 +278,8 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         raise ValueError("factorize requires n >= 1")
     result = _factorize_cached(n, budget)
     if isinstance(result, BudgetExceeded):
-        raise result
+        # a fresh exception each time: raising the memoized one would grow its traceback
+        raise BudgetExceeded(n, result.cofactor, budget)
     return result
 
 
@@ -312,7 +314,8 @@ def _factorize_cached(n: int, budget: int) -> Factorization | BudgetExceeded:
         try:
             d = _brent_factor(m, tracker)
         except BudgetExceeded as exc:
-            return exc
+            # kept without its traceback, whose frames the memo would hold alive
+            return exc.with_traceback(None)
         stack.append((d, mult))
         stack.append((m // d, mult))
     return Factorization(tuple(sorted(counts.items())))
@@ -332,6 +335,16 @@ def reverse_digits(n: int) -> int:
     if n < 1:
         raise ValueError("reverse_digits requires n >= 1")
     return int(str(n)[::-1])
+
+
+def check_eligible(n: int) -> None:
+    """Inputs must be positive, not multiples of 10, and not palindromes."""
+    if n < 1:
+        raise InvalidInput("n must be a positive integer")
+    if n % 10 == 0:
+        raise InvalidInput(f"{n} is a multiple of 10")
+    if reverse_digits(n) == n:
+        raise InvalidInput(f"{n} is a palindrome")
 
 
 def factorization_sum_of(factorization: Factorization) -> int:
@@ -452,7 +465,7 @@ def multiplicative_order(a: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
         return 1
     a %= m
     if math.gcd(a, m) != 1:
-        raise NotCoprime(f"{a} is not invertible modulo {m}")
+        raise ValueError(f"{a} is not invertible modulo {m}")
     phi = 1
     phi_factors: dict[int, int] = {}
     for p, e in factorize(m, budget):
@@ -480,7 +493,7 @@ def repetition_order(p: int, alpha: int, digits: int, budget: int = DEFAULT_BUDG
     e0 the base is not congruent to 1 at the target power of p.
     """
     if p in (2, 5) or not _isprime(p):
-        raise InvalidPrime(f"repetition_order requires a prime other than 2 and 5, got {p}")
+        raise ValueError(f"repetition_order requires a prime other than 2 and 5, got {p}")
     if alpha < 1 or digits < 1:
         raise ValueError("repetition_order requires alpha >= 1 and digits >= 1")
     e0 = padic_order(10**digits - 1, p)

@@ -1,26 +1,28 @@
 """Ground truth by brute force, and the checks and searches that read the
 indicator pipeline.
 
-brute_force_flag alone stays independent of the pipeline: it shares only the
-integer primitives (numbers) and the eligibility check, so agreement between
-the two is evidence, not tautology.  Direct mode builds the concatenated
-integer and its digit reversal and factors both; accelerated mode merges the
-factorizations of n, its reversal and the repetition number.  verify,
-cross_check and search_iter read the pipeline's analyze.
+brute_force_flag alone stays independent of the pipeline: it shares only
+numbers (the integer primitives and the eligibility check), so agreement
+between the two is evidence, not tautology.  Direct mode builds the
+concatenated integer and its digit reversal and factors both; accelerated mode
+merges the factorizations of n, its reversal and the repetition number.
+verify, cross_check and search_iter read the pipeline's analyze.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .characteristic import balance_weight, check_eligible, in_divisibility_set
+from .characteristic import balance_weight, in_divisibility_set
 from .errors import BudgetExceeded, InvalidInput
 from .indicator import AnalysisReport, Singleton, analyze, evaluate
 from .numbers import (
     DEFAULT_BUDGET,
+    check_eligible,
     concat,
     digit_count,
     factorization_sum_of,
@@ -206,5 +208,11 @@ def search_iter(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk_hits in pool.map(_scan_chunk, chunks):
-                yield from chunk_hits
+            # two chunks per worker in flight: pool.map would submit every chunk first
+            pending = deque()
+            for chunk in chunks:
+                pending.append(pool.submit(_scan_chunk, chunk))
+                if len(pending) == 2 * workers:
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()

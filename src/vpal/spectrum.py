@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping, Union
 
-from .errors import InvalidInput, PeriodMismatch
+from .errors import InvalidInput
 from .indicator import IndicatorCombination
 from .numbers import divisors
 
@@ -189,7 +189,7 @@ def spectrum_to_samples(g: SpectralMap, omega: int) -> PeriodicSamples:
     if omega < 1:
         raise ValueError("omega must be >= 1")
     if omega % support_period(g) != 0:
-        raise PeriodMismatch(f"{omega} is not a multiple of the support period {support_period(g)}")
+        raise ValueError(f"{omega} is not a multiple of the support period {support_period(g)}")
     acc = [0j] * omega
     for root, coeff in g.items():
         c = _to_complex(coeff)

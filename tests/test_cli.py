@@ -226,8 +226,10 @@ class TestSearch:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, arg):
+                future = concurrent.futures.Future()
+                future.set_result(fn(arg))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)

@@ -2,7 +2,10 @@
 
 import inspect
 import math
+import pickle
 import random
+import traceback
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 import sympy
@@ -13,8 +16,6 @@ import vpal
 from vpal import (
     BudgetExceeded,
     Factorization,
-    InvalidPrime,
-    NotCoprime,
     analyze,
     brute_force_flag,
     concat,
@@ -110,6 +111,18 @@ class TestFactorize:
         assert info.value.budget == 10_000
         assert info.value.n == semiprime
 
+    def test_cached_failure_keeps_its_traceback_depth(self):
+        # regression: the memo held the raised BudgetExceeded and factorize
+        # raised that same object again, each raise adding to its traceback
+        n = (10**18 + 3) * (10**18 + 9)  # both factors prime
+        depths = []
+        for _ in range(5):
+            try:
+                factorize(n, 10_000)
+            except BudgetExceeded as exc:
+                depths.append(len(traceback.extract_tb(exc.__traceback__)))
+        assert len(depths) == 5 and len(set(depths)) == 1
+
     def test_determinism(self):
         n = 10**24 - 1
         assert factorize(n) == factorize(n)
@@ -128,6 +141,26 @@ class TestFactorize:
     def test_str(self):
         assert str(factorize(126)) == "2 * 3^2 * 7"
         assert str(factorize(1)) == "1"
+
+
+def _raise_budget_exceeded():
+    raise BudgetExceeded(10, 7, 5)
+
+
+class TestBudgetExceeded:
+    def test_pickle_round_trip(self):
+        exc = pickle.loads(pickle.dumps(BudgetExceeded(10, 7, 5)))
+        assert (exc.n, exc.cofactor, exc.budget) == (10, 7, 5)
+        assert str(exc) == "factoring budget of 5 iterations exhausted on a 1-digit cofactor of 10"
+
+    def test_crosses_a_process_pool(self):
+        # regression: an exception that does not unpickle breaks the pool, so
+        # a budget failure in a worker surfaced as BrokenProcessPool
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(_raise_budget_exceeded)
+            with pytest.raises(BudgetExceeded) as info:
+                future.result()
+        assert (info.value.n, info.value.cofactor, info.value.budget) == (10, 7, 5)
 
 
 class TestPrimality:
@@ -311,7 +344,7 @@ class TestMultiplicativeOrder:
         assert multiplicative_order(10, 81) == 9
 
     def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
+        with pytest.raises(ValueError, match="not invertible"):
             multiplicative_order(6, 8)
 
     def test_against_scan(self):
@@ -339,7 +372,7 @@ class TestRepetitionOrder:
 
     def test_rejects_bad_primes(self):
         for p in (2, 5, 9):
-            with pytest.raises(InvalidPrime):
+            with pytest.raises(ValueError, match="prime other than 2 and 5"):
                 repetition_order(p, 1, 2)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])

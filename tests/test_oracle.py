@@ -1,5 +1,6 @@
 """Brute-force ground truth, prediction verification, and searches."""
 
+import inspect
 import tracemalloc
 
 import pytest
@@ -54,6 +55,17 @@ class TestBruteForce:
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInput):
             brute_force_flag(560, 2)
+
+    def test_reads_nothing_of_the_pipeline(self):
+        # the oracle is evidence only while it shares no code with the
+        # indicator pipeline: every global it reads comes from these modules
+        used = inspect.getclosurevars(brute_force_flag).globals
+        outside = {
+            name: value.__module__
+            for name, value in used.items()
+            if value.__module__ not in ("vpal.numbers", "vpal.errors", "vpal.oracle")
+        }
+        assert "check_eligible" in used and outside == {}
 
     def test_every_spelling_of_the_default_budget_is_one_memo_entry(self):
         # regression: budget None reached repetition_factorization as its own
@@ -160,6 +172,24 @@ class TestSearch:
         tracemalloc.start()
         try:
             scan = search_iter(10**8, SearchProperty.CONJ1_COUNTEREXAMPLE)
+            first = next(scan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scan.close()
+        assert first.n == 126
+        assert peak < 5_000_000
+
+    def test_pooled_first_hit_of_a_huge_range_needs_no_chunk_list(self, monkeypatch):
+        # regression: pool.map submitted a future for every chunk of the
+        # range before it yielded the first hit, 422 MB traced at 10**8; the
+        # pool machinery is imported first so that its import is not traced
+        import concurrent.futures.process  # noqa: F401
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            scan = search_iter(10**8, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=2)
             first = next(scan)
             _, peak = tracemalloc.get_traced_memory()
         finally:
