@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import product
 
 from .numbers import DEFAULT_BUDGET, check_eligible, factorize, repetition_order, reverse_digits
 
@@ -128,7 +129,6 @@ _VACUOUS = ConstraintPair(_EMPTY, _EMPTY)
 _IMPOSSIBLE = ConstraintPair(_EMPTY, frozenset({1}))
 
 
-@lru_cache(maxsize=1 << 12)
 def constraint_table(
     p: int, delta: int, mu: int, digits: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, tuple[CaseLabel, ConstraintPair]]:
@@ -151,6 +151,12 @@ def constraint_table(
     of p, which root extraction splits for free, and analyze factors p - 1
     anyway when it computes omega_f.
     """
+    return _constraint_table(p, delta, mu, digits, budget)
+
+
+@lru_cache(maxsize=1 << 12)
+def _constraint_table(p: int, delta: int, mu: int, digits: int, budget: int) -> dict:
+    # keyed on positional arguments, so every spelling of a call is one entry
     if mu < 0:
         raise ValueError("constraint_table requires mu >= 0")
     lifts: dict[int, list[int]] = {}
@@ -180,37 +186,28 @@ def solve_characteristic(
     """All weight tuples, one weight per crucial prime in record order, that
     zero out the signed sum, in lexicographic order.
 
-    Depth-first over the primes; a branch is entered only while the reachable
-    sums include zero, and the last prime's weight is then fixed by the sum.
+    Meet in the middle (E. Horowitz and S. Sahni, "Computing partitions with
+    applications to the knapsack problem", J. ACM 21, 1974): the at most
+    3**ceil(L/2) weight tuples of the last ceil(L/2) of the L primes are
+    grouped by signed sum, and each tuple of the first primes takes the group
+    that cancels its own sum.  Both halves run in lexicographic order, so
+    their concatenations do.
     """
     if not records:
         raise ValueError("solve_characteristic requires at least one record")
-    weights = [weight_range(r.p, abs(r.delta)) for r in records]
-    signs = [r.sign for r in records]
-    last = len(records) - 1
-    # lo[i], hi[i]: the least and greatest signed sum of the weights from i on
-    lo, hi = [0] * (last + 2), [0] * (last + 2)
-    for i in reversed(range(last + 1)):
-        ends = (signs[i] * weights[i][0], signs[i] * weights[i][-1])
-        lo[i] = lo[i + 1] + min(ends)
-        hi[i] = hi[i + 1] + max(ends)
+    weights, signed = [], []
+    for r in records:
+        w = weight_range(r.p, abs(r.delta))
+        weights.append(w)
+        signed.append(w if r.delta > 0 else [-u for u in w])
+    half = len(records) // 2
+    tails: dict[int, list[tuple[int, ...]]] = {}
+    for tail, terms in zip(product(*weights[half:]), product(*signed[half:])):
+        tails.setdefault(sum(terms), []).append(tail)
     out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def walk(i: int, total: int) -> None:
-        if i == last:
-            u = -signs[i] * total
-            if u in weights[i]:
-                out.append((*prefix, u))
-            return
-        for u in weights[i]:
-            t = total + signs[i] * u
-            if t + lo[i + 1] <= 0 <= t + hi[i + 1]:
-                prefix.append(u)
-                walk(i + 1, t)
-                prefix.pop()
-
-    walk(0, 0)
+    for head, terms in zip(product(*weights[:half]), product(*signed[:half])):
+        for tail in tails.get(-sum(terms), ()):
+            out.append(head + tail)
     return tuple(out)
 
 
@@ -239,7 +236,7 @@ def assemble_constraints(
 ) -> SolutionConstraints:
     """Union the per-prime pairs and flag unsatisfiable solutions."""
     entries = [
-        constraint_table(r.p, abs(r.delta), r.mu, digits, budget)[u]
+        _constraint_table(r.p, abs(r.delta), r.mu, digits, budget)[u]
         for r, u in zip(records, solution, strict=True)
     ]
     cases = tuple(case for case, _ in entries)

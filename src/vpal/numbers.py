@@ -3,7 +3,7 @@ budgeted factoring, factorization sums, repeated concatenation, p-adic
 orders, and multiplicative orders.
 
 Everything here is a pure function of its arguments; results for expensive
-calls are memoized on the argument values.
+calls are memoized on the argument values, each passed positionally.
 """
 
 from __future__ import annotations
@@ -36,7 +36,11 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
-_PRIMORIAL_47 = math.prod(_SMALL_PRIMES[:15])  # 2 * 3 * 5 * ... * 47
+#: _SMALL_PRIMES in runs of 32 as (least prime squared, product, primes)
+_TRIAL_BLOCKS = tuple(
+    (run[0] * run[0], math.prod(run), run)
+    for run in (_SMALL_PRIMES[i : i + 32] for i in range(0, len(_SMALL_PRIMES), 32))
+)
 
 #: Strong probable-prime tests to the first 13 prime bases decide primality
 #: for every n below this bound (J. Sorenson and J. Webster, "Strong
@@ -134,7 +138,7 @@ def _isprime(n: int) -> bool:
     if n < _TRIAL_LIMIT:
         i = bisect.bisect_left(_SMALL_PRIMES, n)
         return i < len(_SMALL_PRIMES) and _SMALL_PRIMES[i] == n
-    if math.gcd(n, _PRIMORIAL_47) != 1:
+    if math.gcd(n, _TRIAL_BLOCKS[0][1]) != 1:  # a prime factor below 137
         return False
     if n < _MR_BOUND:
         return _strong_probable_prime(n, _MR_BASES)
@@ -263,13 +267,15 @@ def _brent_factor(n: int, budget: _Budget) -> int:
 def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     """Complete factorization of n >= 1; empty for n = 1.
 
-    Trial division by primes below 10^4 first.  A composite survivor that is
-    a perfect power r**k is replaced by its root r, counted k times, at no
-    cost in budget; Brent's method runs only on survivors that are not
-    perfect powers.  Every emitted prime is certified by _isprime: a proof
-    below 3.3*10**24 (strong probable-prime tests on bases known to suffice
-    there), a strong BPSW test above, as sympy's isprime decides; no
-    composite is known to pass strong BPSW.
+    Trial division by the primes below 10^4 first, 32 at a time: a gcd with
+    their product picks out the ones that divide (D. J. Bernstein, "How to
+    find smooth parts of integers", 2004).  A composite survivor that is a
+    perfect power r**k is replaced by its root r, counted k times, at no cost
+    in budget; Brent's method runs only on survivors that are not perfect
+    powers.  Every emitted prime is certified by _isprime: a proof below
+    3.3*10**24 (strong probable-prime tests on bases known to suffice there),
+    a strong BPSW test above, as sympy's isprime decides; no composite is
+    known to pass strong BPSW.
     Raises BudgetExceeded when a cofactor that is not a perfect power resists
     within the iteration budget; the caller decides whether that means
     "skip", never "assume prime".
@@ -288,18 +294,27 @@ def _factorize_cached(n: int, budget: int) -> Factorization | BudgetExceeded:
     # budget failures are cached too, so one hard cofactor burns at most once
     counts: dict[int, int] = {}
     rem = n
-    for p in _SMALL_PRIMES:
-        if p * p > rem:
+    for square, product, primes in _TRIAL_BLOCKS:
+        if square > rem:
             break
-        while rem % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            rem //= p
+        g = math.gcd(rem, product)
+        if g == 1:
+            continue
+        for p in primes:
+            if g % p == 0:
+                while rem % p == 0:
+                    counts[p] = counts.get(p, 0) + 1
+                    rem //= p
+                g //= p
+                if g == 1:
+                    break
     tracker = _Budget(n, budget)
     # (cofactor, multiplicity) pairs: a root r of r**k stands for k factors
     stack = [(rem, 1)] if rem > 1 else []
     while stack:
         m, mult = stack.pop()
-        # survivors of trial division below the limit squared are prime
+        # trial division stops early only at a run whose least prime squared
+        # exceeds what is left: survivors below _TRIAL_LIMIT squared are prime
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or _isprime(m):
             counts[m] = counts.get(m, 0) + mult
             continue
@@ -411,7 +426,6 @@ def cyclotomic_value(m: int) -> int:
     return value
 
 
-@lru_cache(maxsize=1 << 10)
 def repetition_factorization(k: int, digits: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     """Factorization of repetition_number(k, digits), split along the
     cyclotomic factors of 10**(digits*k) - 1.
@@ -422,6 +436,11 @@ def repetition_factorization(k: int, digits: int, budget: int = DEFAULT_BUDGET) 
     of one Phi_m(10), not of the whole repetition number.  The product of the
     merged pieces is checked against repetition_number().
     """
+    return _repetition_factorization(k, digits, budget)
+
+
+@lru_cache(maxsize=1 << 10)
+def _repetition_factorization(k: int, digits: int, budget: int) -> Factorization:
     if k < 1 or digits < 1:
         raise ValueError("repetition_factorization requires k >= 1 and digits >= 1")
     out = Factorization(())
@@ -482,7 +501,6 @@ def multiplicative_order(a: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
     return t
 
 
-@lru_cache(maxsize=1 << 16)
 def repetition_order(p: int, alpha: int, digits: int, budget: int = DEFAULT_BUDGET) -> int:
     """Least t >= 1 with (10**digits)**t = 1 modulo p**(alpha + e0), where e0
     is the p-adic order of 10**digits - 1.
@@ -492,6 +510,11 @@ def repetition_order(p: int, alpha: int, digits: int, budget: int = DEFAULT_BUDG
     at least alpha exactly when t divides k.  Always > 1, because by choice of
     e0 the base is not congruent to 1 at the target power of p.
     """
+    return _repetition_order(p, alpha, digits, budget)
+
+
+@lru_cache(maxsize=1 << 16)
+def _repetition_order(p: int, alpha: int, digits: int, budget: int) -> int:
     if p in (2, 5) or not _isprime(p):
         raise ValueError(f"repetition_order requires a prime other than 2 and 5, got {p}")
     if alpha < 1 or digits < 1:

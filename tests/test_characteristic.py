@@ -1,13 +1,16 @@
 """Crucial primes, balance weights, the case classifier, and constraints."""
 
 import math
+import random
 from itertools import combinations, product
 
 import pytest
 import sympy
 
 from vpal import (
+    DEFAULT_BUDGET,
     CaseLabel,
+    CrucialPrimeRecord,
     InvalidInput,
     assemble_constraints,
     balance_weight,
@@ -19,6 +22,21 @@ from vpal import (
     solve_characteristic,
     weight_range,
 )
+from vpal.characteristic import _constraint_table
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def signed_records(primes, deltas, signs):
+    return tuple(
+        CrucialPrimeRecord(p, d, 0) if s > 0 else CrucialPrimeRecord(p, 0, d)
+        for p, d, s in zip(primes, deltas, signs)
+    )
+
+
+def product_filter(records):
+    ranges = [weight_range(r.p, abs(r.delta)) for r in records]
+    return [tup for tup in product(*ranges) if sum(r.sign * u for r, u in zip(records, tup)) == 0]
 
 
 class TestEligibility:
@@ -181,13 +199,36 @@ class TestSolver:
     def test_completeness_against_product_filter(self):
         for n in (126, 13, 18, 122, 5957, 21726):
             records = crucial_primes(n)
-            ranges = [weight_range(r.p, abs(r.delta)) for r in records]
-            naive = [
-                tup
-                for tup in product(*ranges)
-                if sum(s * u for s, u in zip([r.sign for r in records], tup)) == 0
-            ]
-            assert list(solve_characteristic(records)) == naive
+            assert list(solve_characteristic(records)) == product_filter(records)
+
+    @pytest.mark.parametrize("count", range(1, 11))
+    def test_synthetic_records_against_product_filter(self, count):
+        # 2 with delta 1 has two weights, every other prime three; the signs mix
+        rng = random.Random(count)
+        for _ in range(4):
+            primes = (2, *sorted(rng.sample(ODD_PRIMES, count - 1)))
+            deltas = [1] + [rng.randint(1, 3) for _ in range(count - 1)]
+            signs = [(-1) ** i for i in range(count)]
+            rng.shuffle(signs)
+            records = signed_records(primes, deltas, signs)
+            assert list(solve_characteristic(records)) == product_filter(records)
+
+    def test_sixteen_primes(self):
+        primes = (2, *ODD_PRIMES)
+        records = signed_records(primes, [i % 3 + 1 for i in range(16)], [(-1) ** i for i in range(16)])
+        # the number of zero-sum tuples, by convolving the signed weight counts
+        counts = {0: 1}
+        for r in records:
+            step: dict[int, int] = {}
+            for total, c in counts.items():
+                for u in weight_range(r.p, abs(r.delta)):
+                    t = total + r.sign * u
+                    step[t] = step.get(t, 0) + c
+            counts = step
+        solutions = solve_characteristic(records)
+        assert len(solutions) == counts[0] > 0
+        assert all(sum(r.sign * u for r, u in zip(records, s)) == 0 for s in solutions)
+        assert all(a < b for a, b in zip(solutions, solutions[1:]))
 
     def test_lexicographic_order(self):
         values = solve_characteristic(crucial_primes(21726))
@@ -226,6 +267,14 @@ class TestConstraintPairs:
     def test_rejects_negative_mu(self):
         with pytest.raises(ValueError, match="constraint_table requires mu >= 0"):
             constraint_table(3, 1, -1, 1)
+
+    def test_every_spelling_is_one_memo_entry(self):
+        _constraint_table.cache_clear()
+        constraint_table(7, 1, 0, 2)
+        constraint_table(7, 1, 0, 2, DEFAULT_BUDGET)
+        constraint_table(7, 1, 0, 2, budget=DEFAULT_BUDGET)
+        info = _constraint_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
     def test_full_constraint_table_126(self):
         records = crucial_primes(126)

@@ -6,6 +6,7 @@ import pickle
 import random
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations_with_replacement
 
 import pytest
 import sympy
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import vpal
 from vpal import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     Factorization,
     analyze,
@@ -33,7 +35,14 @@ from vpal import (
     repetition_order,
     reverse_digits,
 )
-from vpal.numbers import _MR_BOUND, _isprime, _strong_lucas_probable_prime
+from vpal.numbers import (
+    _MR_BOUND,
+    _TRIAL_LIMIT,
+    _isprime,
+    _repetition_factorization,
+    _repetition_order,
+    _strong_lucas_probable_prime,
+)
 
 #: Lower ends of the magnitude ranges sampled against sympy.isprime; above
 #: _MR_BOUND the test is strong BPSW.
@@ -122,6 +131,52 @@ class TestFactorize:
             except BudgetExceeded as exc:
                 depths.append(len(traceback.extract_tb(exc.__traceback__)))
         assert len(depths) == 5 and len(set(depths)) == 1
+
+    def test_run_edges_match_sympy(self):
+        # trial division takes the primes below 10**4 in runs of 32: the 32nd
+        # and 33rd primes (131 and 137) meet at the first edge, and 9973 is the
+        # last prime tried before 10007
+        edges = (127, 131, 137, 139, 9967, 9973, 10007, 10009)
+        ns = [10007**2]
+        ns += [p**e for p in edges for e in range(1, 7)]
+        ns += [p * q for p, q in combinations_with_replacement(edges, 2)]
+        ns += [p**2 * q * r for p, q, r in combinations_with_replacement(edges, 3)]
+        for n in ns:
+            assert factorize(n).as_dict() == sympy.factorint(n), n
+
+    def test_around_the_trial_limit_squared(self):
+        # survivors of trial division below 10**8 are taken as prime unchecked
+        assert _TRIAL_LIMIT**2 == 10**8
+        for n in range(10**8 - 300, 10**8 + 300):
+            assert factorize(n).as_dict() == sympy.factorint(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2 * 113,  # the cofactor turns 1 halfway through the first run
+            2**3 * 3 * 1009,  # the prime 1009 is left; the scan stops at the second run
+            6 * 10007,  # left with a prime past every run
+            131 * 137 * 100003,  # one prime on each side of the first edge, then a large one
+            3**5 * 7919 * 7927,  # two primes from the middle of one run
+        ],
+    )
+    def test_trial_division_stops_early(self, n):
+        assert factorize(n).as_dict() == sympy.factorint(n)
+
+    @pytest.mark.parametrize("digits", [2, 4, 8, 15, 24, 36])
+    def test_trial_division_matches_sympy_on_random_n(self, digits):
+        rng = random.Random(digits)
+        for _ in range(200):
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+            small = sympy.factorint(n, limit=_TRIAL_LIMIT, use_rho=False, use_pm1=False, use_ecm=False)
+            smooth = math.prod(p**e for p, e in small.items() if p < _TRIAL_LIMIT)
+            try:
+                # budget 0: what trial division leaves is prime, a power or unsplit
+                f = factorize(n, budget=0)
+            except BudgetExceeded as exc:
+                assert exc.cofactor == n // smooth and not sympy.isprime(exc.cofactor), n
+            else:
+                assert f.as_dict() == sympy.factorint(n), n
 
     def test_determinism(self):
         n = 10**24 - 1
@@ -288,6 +343,14 @@ class TestCyclotomicSplit:
         with pytest.raises(ValueError):
             repetition_factorization(0, 2)
 
+    def test_every_spelling_is_one_memo_entry(self):
+        _repetition_factorization.cache_clear()
+        repetition_factorization(7, 2)
+        repetition_factorization(7, 2, DEFAULT_BUDGET)
+        repetition_factorization(7, 2, budget=DEFAULT_BUDGET)
+        info = _repetition_factorization.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_whole_number_factorization(self, d):
         for k in range(1, 40 // d + 1):
@@ -375,6 +438,14 @@ class TestRepetitionOrder:
             with pytest.raises(ValueError, match="prime other than 2 and 5"):
                 repetition_order(p, 1, 2)
 
+    def test_every_spelling_is_one_memo_entry(self):
+        _repetition_order.cache_clear()
+        repetition_order(7, 1, 2)
+        repetition_order(7, 1, 2, DEFAULT_BUDGET)
+        repetition_order(7, 1, 2, budget=DEFAULT_BUDGET)
+        info = _repetition_order.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_properties_up_to_100(self, d):
         for p in [q for q in range(3, 101) if sympy.isprime(q) and q != 5]:
@@ -416,7 +487,6 @@ class TestBudgetDefault:
     }
 
     def test_every_budget_defaults_to_the_one_int(self):
-        # inspect.signature sees through lru_cache to the wrapped function
         budgeted = {}
         for name, obj in vars(vpal).items():
             if name.startswith("_") or inspect.isclass(obj) or not callable(obj):

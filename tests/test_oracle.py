@@ -16,11 +16,11 @@ from vpal import (
     cross_check,
     analyze,
     evaluate,
-    repetition_factorization,
     reverse_digits,
     search_iter,
     verify,
 )
+from vpal.numbers import _repetition_factorization
 from vpal.oracle import CHUNK_SIZE
 
 
@@ -70,10 +70,10 @@ class TestBruteForce:
     def test_every_spelling_of_the_default_budget_is_one_memo_entry(self):
         # regression: budget None reached repetition_factorization as its own
         # cache key, so the default spelled two ways factored every k twice
-        repetition_factorization.cache_clear()
+        _repetition_factorization.cache_clear()
         verify(48, 20, accelerated=True)
         verify(48, 20, DEFAULT_BUDGET, accelerated=True)
-        info = repetition_factorization.cache_info()
+        info = _repetition_factorization.cache_info()
         assert (info.currsize, info.misses, info.hits) == (20, 20, 20)
 
 
