@@ -486,15 +486,14 @@ def multiplicative_order(a: int, m: int, budget: int = DEFAULT_BUDGET) -> int:
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not invertible modulo {m}")
     phi = 1
-    phi_factors: dict[int, int] = {}
+    phi_primes: set[int] = set()
     for p, e in factorize(m, budget):
         phi *= (p - 1) * p ** (e - 1)
         if e >= 2:
-            phi_factors[p] = phi_factors.get(p, 0) + e - 1
-        for q, f in factorize(p - 1, budget):
-            phi_factors[q] = phi_factors.get(q, 0) + f
+            phi_primes.add(p)
+        phi_primes.update(q for q, _ in factorize(p - 1, budget))
     t = phi
-    for q in phi_factors:
+    for q in phi_primes:
         while t % q == 0 and pow(a, t // q, m) == 1:
             t //= q
     assert pow(a, t, m) == 1

@@ -5,6 +5,10 @@ periodic function x -> sum of coeff * zeta**x, and every periodic function
 arises that way from exactly one map.  This module converts between the two
 representations, computes the fundamental period three independent ways, and
 expresses indicator combinations exactly in spectral form.
+
+A window of length w with prime-power factors q_1 ... q_k is transformed
+along its Chinese-remainder axes (the prime-factor transform of I. J. Good,
+1958, and L. H. Thomas, 1963), in w * (q_1 + ... + q_k) terms instead of w**2.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Mapping, Union
 
 from .errors import InvalidInput
 from .indicator import IndicatorCombination
-from .numbers import divisors
+from .numbers import divisors, factorize
 
 #: Transform coefficients below this magnitude count as zero, and non-exact
 #: samples closer than this count as equal.  A window of length w with largest
@@ -132,16 +136,45 @@ def support_period(g: SpectralMap) -> int:
 def _transform(values, sign: int) -> list[complex]:
     """(1/w) * sum over x of values[x] * e(sign*r*x/w), for r = 0..w-1.
 
-    A window of length w only uses the w distinct w-th roots of unity, so one
-    table of w exponentials serves all w**2 terms.  Each table entry is the
-    float that exp(sign * 2*pi*i * (r*x mod w) / w) gives for that term, and
-    the terms are summed in order of x, so every coefficient is bit for bit
-    the one the per-term formula gives.
+    A Good-Thomas prime-factor transform (I. J. Good 1958; L. H. Thomas 1963):
+    with w = q_1 * ... * q_k the prime powers of w and n_i = w/q_i, a flat
+    mixed-radix list puts sample x at the position of its residues
+    (x mod q_1, ..., x mod q_k), and one dense length-q_i transform runs along
+    each axis with no twiddle factors, since r*x/w = sum of r_i*x/q_i mod 1
+    for r = sum of r_i*n_i.  Position (r_1, ..., r_k) then holds frequency
+    sum of r_i*n_i mod w.  That costs w * (q_1 + ... + q_k) terms instead of
+    w**2.  Each partial sum is still a sum of at most w samples times unit
+    roots, so the rounding floor of `_zero_threshold` and the overflow guard
+    of `_largest_magnitude` hold unchanged.
+
+    Each axis reads one table of the q_i-th roots of unity, the float that
+    exp(sign * 2*pi*i * j / q_i) gives.  For a prime-power w (one axis) the
+    terms are summed in order of x, so every coefficient is bit for bit the
+    one the per-term formula gives; otherwise only the rounding differs.
     """
     w = len(values)
-    vals = [_to_complex(v) for v in values]
-    roots = [cmath.exp(sign * 2j * math.pi * j / w) for j in range(w)]
-    return [sum(map(mul, vals, [roots[r * x % w] for x in range(w)])) / w for r in range(w)]
+    axes = [p**e for p, e in factorize(w)] or [1]
+    src = dst = [0]
+    for q in axes:
+        n = w // q
+        unit = n * pow(n, -1, q)  # 1 mod q, 0 mod every other axis
+        src = [s + x * unit for s in src for x in range(q)]
+        dst = [d + r * n for d in dst for r in range(q)]
+    flat = [_to_complex(values[s % w]) for s in src]
+    stride = w
+    for q in axes:
+        stride //= q
+        span = q * stride
+        roots = [cmath.exp(sign * 2j * math.pi * j / q) for j in range(q)]
+        table = [[roots[r * x % q] for x in range(q)] for r in range(q)]
+        for start in range(0, w, span):
+            for lo in range(start, start + stride):
+                line = flat[lo : lo + span : stride]
+                flat[lo : lo + span : stride] = [sum(map(mul, line, row)) for row in table]
+    coeffs = [0j] * w
+    for d, c in zip(dst, flat):
+        coeffs[d % w] = c / w
+    return coeffs
 
 
 def _largest_magnitude(values) -> float:
@@ -172,15 +205,17 @@ def _zero_threshold(values) -> float:
 def samples_to_spectrum(s: PeriodicSamples) -> SpectralMap:
     """Invert one window of samples into root-of-unity coefficients.
 
-    O(period^2) inverse transform over one table of the period-th roots of
-    unity; the interpolant of the result reproduces the samples on all of the
-    integers.  Raises InvalidInput for samples so large that the sums could
-    overflow.
+    Good-Thomas inverse transform in w * (q_1 + ... + q_k) terms, for a
+    window of length w with prime-power factors q_i (see `_transform`); the
+    interpolant of the result reproduces the samples on all of the integers.
+    Raises InvalidInput for samples so large that the sums could overflow.
     """
     w = s.period
     threshold = _zero_threshold(s.values)
     coeffs = _transform(s.values, -1)
-    entries = {RootIndex.reduced(r, w): coeff for r, coeff in enumerate(coeffs)}
+    entries = {
+        RootIndex.reduced(r, w): coeff for r, coeff in enumerate(coeffs) if abs(coeff) >= threshold
+    }
     return SpectralMap(entries, threshold)
 
 

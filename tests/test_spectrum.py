@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -26,6 +27,7 @@ from vpal import (
     spectrum_to_samples,
     support_period,
 )
+from vpal.numbers import factorize
 from vpal.spectrum import ZERO_TOLERANCE, _to_complex, _transform
 
 
@@ -145,18 +147,25 @@ def _direct_transform(values, sign):
 
 
 class TestTransformTable:
-    """The table of roots changes no coefficient, not even a signed zero."""
+    """Against the per-term formula: bit for bit on one axis, within the
+    rounding floor on several."""
 
     @staticmethod
-    def _windows():
+    def _windows(one_axis):
+        # one corpus for both tests, each taking the lengths with or without one axis
         rng = random.Random(252)
-        for w in [*range(1, 65), *range(84, 253, 42)]:
-            yield [rng.randint(-4, 4) for _ in range(w)]
-            yield [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(w)]
-            yield [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(w)]
+        for w in [*range(1, 65), *range(84, 253, 42), 128, 243, 256]:
+            windows = (
+                [rng.randint(-4, 4) for _ in range(w)],
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(w)],
+                [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(w)],
+            )
+            if (len(factorize(w)) <= 1) == one_axis:
+                yield from windows
 
     def test_bit_identical_to_direct_formula(self):
-        for values in self._windows():
+        # a prime-power window has one axis, summed in order of x like the formula
+        for values in self._windows(one_axis=True):
             w = len(values)
             s = PeriodicSamples(tuple(values))
             inverse = _direct_transform(values, -1)
@@ -167,6 +176,53 @@ class TestTransformTable:
             assert list(map(repr, _transform(values, +1))) == list(map(repr, forward))
             active = [k for k in range(1, w + 1) if abs(forward[k % w]) > ZERO_TOLERANCE]
             assert gcd_period(s) == w // math.gcd(w, *active)
+
+    def test_composite_lengths_within_rounding_floor(self):
+        # several axes sum in another order: only the rounding may change
+        for values in self._windows(one_axis=False):
+            w = len(values)
+            floor = w * sys.float_info.epsilon * max(abs(_to_complex(v)) for v in values)
+            s = PeriodicSamples(tuple(values))
+            inverse = _direct_transform(values, -1)
+            expected = SpectralMap({RootIndex.reduced(r, w): c for r, c in enumerate(inverse)})
+            got = samples_to_spectrum(s)
+            assert [r for r, _ in got.items()] == [r for r, _ in expected.items()]
+            forward = _direct_transform(values, +1)
+            for sign, direct in ((-1, inverse), (+1, forward)):
+                assert max(map(abs, map(sub, _transform(values, sign), direct))) <= floor
+            active = [k for k in range(1, w + 1) if abs(forward[k % w]) > ZERO_TOLERANCE]
+            assert gcd_period(s) == w // math.gcd(w, *active)
+
+    @pytest.mark.parametrize("w", [1, 12, 210, 2310, 30030])
+    def test_impulse_lands_on_every_frequency_once(self, w):
+        # the transform of a unit impulse at x = 1 is e(sign*r/w)/w, a distinct
+        # value at every r, so a frequency written twice or out of place shows
+        impulse = [0] * w
+        impulse[1 % w] = 1
+        for sign in (-1, +1):
+            got = _transform(impulse, sign)
+            for r, c in enumerate(got):
+                assert abs(c - cmath.exp(sign * 2j * math.pi * r / w) / w) <= sys.float_info.epsilon
+
+    @pytest.mark.parametrize("w", [6, 12])
+    def test_composite_window_at_float_range_transforms_finitely(self, w):
+        big = sys.float_info.max / (2 * w)
+        block = (big, -big, big, big, -big, -big)
+        s = PeriodicSamples(block * (w // len(block)))
+        g = samples_to_spectrum(s)
+        assert all(cmath.isfinite(c) for _, c in g.items())
+        assert all(cmath.isfinite(c) for c in _transform(s.values, +1))
+        assert support_period(g) == gcd_period(s) == naive_fundamental_period(s) == 6
+
+    def test_three_formulas_agree_on_long_composite_windows(self):
+        rng = random.Random(2310)
+        for w, block_len in ((420, 105), (660, 220), (840, 840), (1260, 36), (2310, 210)):
+            while True:
+                block = [rng.randint(-4, 4) for _ in range(block_len)]
+                if naive_fundamental_period(PeriodicSamples(tuple(block))) == block_len:
+                    break
+            s = PeriodicSamples(tuple(block * (w // block_len)))
+            assert support_period(samples_to_spectrum(s)) == gcd_period(s) == naive_fundamental_period(s) == block_len
 
 
 class TestSpectrumToSamples:
