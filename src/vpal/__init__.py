@@ -62,7 +62,6 @@ from .spectrum import (
     naive_fundamental_period,
     net_coefficients,
     samples_to_spectrum,
-    spectrum_to_samples,
     support_period,
 )
 from .oracle import (

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import gc
 import json
 import math
 import os
@@ -38,10 +37,6 @@ from .spectrum import (
     samples_to_spectrum,
     support_period,
 )
-
-# keep full collections off the ~15k objects the imports leave (modules,
-# classes, tables): without this a `search` over ~1,700 n takes about 9% longer
-gc.freeze()
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1

@@ -153,10 +153,6 @@ class AnalysisReport:
     omega_f: int
     omega_b: int
 
-    @property
-    def nondegenerate(self) -> tuple[SolutionConstraints, ...]:
-        return tuple(c for c in self.constraints if not c.degenerate)
-
     def to_json_dict(self) -> dict:
         """Stable JSON shape; all integers as decimal strings.
 
@@ -286,12 +282,12 @@ def _pipeline(
 
 
 def type_of(n: int, k: int) -> tuple[int, ...] | None:
-    """The weight tuple of the unique surviving solution whose divisibility
-    set contains k, or None; uniqueness holds because the sets are pairwise
-    disjoint."""
+    """The weight tuple of the unique solution whose divisibility set contains
+    k, or None; uniqueness holds because the sets are pairwise disjoint, and a
+    degenerate solution's set is empty."""
     if k < 1:
         raise ValueError("type_of requires k >= 1")
-    for cons in analyze(n).nondegenerate:
+    for cons in analyze(n).constraints:
         if in_divisibility_set(cons.required, cons.excluded, k):
             return cons.solution
     return None

@@ -2,9 +2,13 @@
 
 A finitely supported map from roots of unity to coefficients determines a
 periodic function x -> sum of coeff * zeta**x, and every periodic function
-arises that way from exactly one map.  This module converts between the two
-representations, computes the fundamental period three independent ways, and
-expresses indicator combinations exactly in spectral form.
+arises that way from exactly one map.  This module converts one window of
+samples to its map, computes the fundamental period three independent ways,
+and expresses indicator combinations exactly in spectral form.
+
+`samples_to_spectrum` and `gcd_period` each run their own transform but read
+its support through one filter, `_active`, so the two formulas agree on which
+coefficients count as zero.
 
 A window of length w with prime-power factors q_1 ... q_k is transformed
 along its Chinese-remainder axes (the prime-factor transform of I. J. Good,
@@ -35,12 +39,6 @@ ZERO_TOLERANCE = 1e-9
 Coefficient = Union[int, Fraction, float, complex]
 
 
-def _to_complex(value: Coefficient) -> complex:
-    if isinstance(value, Fraction):
-        return complex(float(value))
-    return complex(value)
-
-
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
 
@@ -67,28 +65,21 @@ class RootIndex:
         g = math.gcd(num, den)
         return cls(num // g, den // g)
 
-    def as_complex(self) -> complex:
-        return cmath.exp(2j * math.pi * self.num / self.den)
-
 
 class SpectralMap:
     """Finitely supported map RootIndex -> coefficient.
 
     Exact zero coefficients are dropped at construction; float/complex ones
-    are dropped below the tolerance.  Entries iterate sorted by (den, num).
+    are dropped below ZERO_TOLERANCE.  Entries iterate sorted by (den, num).
     """
 
-    def __init__(
-        self,
-        entries: Mapping[RootIndex, Coefficient],
-        tolerance: float = ZERO_TOLERANCE,
-    ):
+    def __init__(self, entries: Mapping[RootIndex, Coefficient]):
         kept = {}
         for root, coeff in entries.items():
             if _is_exact(coeff):
                 if coeff == 0:
                     continue
-            elif abs(coeff) < tolerance:
+            elif abs(coeff) < ZERO_TOLERANCE:
                 continue
             kept[root] = coeff
         self._entries = dict(sorted(kept.items(), key=lambda kv: (kv[0].den, kv[0].num)))
@@ -160,7 +151,7 @@ def _transform(values, sign: int) -> list[complex]:
         unit = n * pow(n, -1, q)  # 1 mod q, 0 mod every other axis
         src = [s + x * unit for s in src for x in range(q)]
         dst = [d + r * n for d in dst for r in range(q)]
-    flat = [_to_complex(values[s % w]) for s in src]
+    flat = [complex(values[s % w]) for s in src]
     stride = w
     for q in axes:
         stride //= q
@@ -186,7 +177,7 @@ def _largest_magnitude(values) -> float:
     """
     w = len(values)
     try:
-        scale = max(abs(_to_complex(v)) for v in values)
+        scale = max(abs(complex(v)) for v in values)
     except OverflowError:
         scale = math.inf
     if w * scale > sys.float_info.max:
@@ -202,6 +193,13 @@ def _zero_threshold(values) -> float:
     return max(ZERO_TOLERANCE, len(values) * sys.float_info.epsilon * _largest_magnitude(values))
 
 
+def _active(values, sign: int) -> list[tuple[int, complex]]:
+    """The pairs (r, c_r) of `_transform(values, sign)` with |c_r| at or above
+    `_zero_threshold(values)`: the support both period formulas read."""
+    threshold = _zero_threshold(values)
+    return [(r, c) for r, c in enumerate(_transform(values, sign)) if abs(c) >= threshold]
+
+
 def samples_to_spectrum(s: PeriodicSamples) -> SpectralMap:
     """Invert one window of samples into root-of-unity coefficients.
 
@@ -211,40 +209,16 @@ def samples_to_spectrum(s: PeriodicSamples) -> SpectralMap:
     Raises InvalidInput for samples so large that the sums could overflow.
     """
     w = s.period
-    threshold = _zero_threshold(s.values)
-    coeffs = _transform(s.values, -1)
-    entries = {
-        RootIndex.reduced(r, w): coeff for r, coeff in enumerate(coeffs) if abs(coeff) >= threshold
-    }
-    return SpectralMap(entries, threshold)
-
-
-def spectrum_to_samples(g: SpectralMap, omega: int) -> PeriodicSamples:
-    """Evaluate on 0..omega-1; omega must be a multiple of the support period."""
-    if omega < 1:
-        raise ValueError("omega must be >= 1")
-    if omega % support_period(g) != 0:
-        raise ValueError(f"{omega} is not a multiple of the support period {support_period(g)}")
-    acc = [0j] * omega
-    for root, coeff in g.items():
-        c = _to_complex(coeff)
-        step = root.as_complex()
-        cur = 1 + 0j
-        for x in range(omega):
-            acc[x] += c * cur
-            cur *= step
-    return PeriodicSamples(tuple(acc))
+    return SpectralMap({RootIndex.reduced(r, w): c for r, c in _active(s.values, -1)})
 
 
 def gcd_period(s: PeriodicSamples) -> int:
     """Fundamental period via frequency indices: write the window in the basis
-    zeta**(-x*k) for k = 1..period, take the active k's, and divide the window
-    length by the gcd of those indices and the window length."""
+    zeta**(-x*k) for k = 0..period-1, take the active k's, and divide the window
+    length by the gcd of those indices and the window length (an active k = 0
+    adds nothing to that gcd)."""
     w = s.period
-    threshold = _zero_threshold(s.values)
-    coeffs = _transform(s.values, +1)
-    active = [k for k in range(1, w + 1) if abs(coeffs[k % w]) > threshold]
-    return w // math.gcd(w, *active)
+    return w // math.gcd(w, *(k for k, _ in _active(s.values, +1)))
 
 
 def naive_fundamental_period(s: PeriodicSamples) -> int:
@@ -262,7 +236,7 @@ def naive_fundamental_period(s: PeriodicSamples) -> int:
             ok = all(vals[(i + t) % w] == vals[i] for i in range(w))
         else:
             ok = all(
-                abs(_to_complex(vals[(i + t) % w]) - _to_complex(vals[i])) <= ZERO_TOLERANCE
+                abs(complex(vals[(i + t) % w]) - complex(vals[i])) <= ZERO_TOLERANCE
                 for i in range(w)
             )
         if ok:

@@ -30,12 +30,13 @@ from vpal import (
     reverse_digits,
     samples_to_spectrum,
     search_iter,
-    spectrum_to_samples,
     support_period,
     gcd_period,
     verify,
 )
 from vpal.cli import main
+
+from spectral_inverse import spectrum_to_samples
 
 #: The published 18-row reference: n -> (indicator terms, order, fundamental
 #: period).  The n=117 row is stored with the period 2054 that its own

@@ -396,10 +396,10 @@ class TestEvaluationConsistency:
     def test_indicator_matches_membership(self, n):
         report = analyze(n)
         comb = report.combination
-        live = report.nondegenerate
         for k in range(1, 500):
+            # degenerate sets are empty, so they must never be hit either
             hits = [
-                c for c in live if in_divisibility_set(c.required, c.excluded, k)
+                c for c in report.constraints if in_divisibility_set(c.required, c.excluded, k)
             ]
             assert len(hits) <= 1
             assert (len(hits) == 1) == (evaluate(comb, k) == 1)

@@ -24,16 +24,12 @@ from vpal import (
     naive_fundamental_period,
     net_coefficients,
     samples_to_spectrum,
-    spectrum_to_samples,
     support_period,
 )
 from vpal.numbers import factorize
-from vpal.spectrum import ZERO_TOLERANCE, _to_complex, _transform
+from vpal.spectrum import ZERO_TOLERANCE, _transform
 
-
-def eval_spectrum(g, x):
-    """The finite sum of coeff * root**x over the support."""
-    return sum((_to_complex(c) * RootIndex.reduced(r.num * x, r.den).as_complex() for r, c in g.items()), 0j)
+from spectral_inverse import eval_spectrum, spectrum_to_samples
 
 
 class TestRootIndex:
@@ -140,7 +136,7 @@ def _direct_transform(values, sign):
     w = len(values)
     base = 2j if sign > 0 else -2j
     return [
-        sum(_to_complex(v) * cmath.exp(base * math.pi * (r * x % w) / w) for x, v in enumerate(values))
+        sum(complex(v) * cmath.exp(base * math.pi * (r * x % w) / w) for x, v in enumerate(values))
         / w
         for r in range(w)
     ]
@@ -174,14 +170,14 @@ class TestTransformTable:
             assert [(r, repr(c)) for r, c in got.items()] == [(r, repr(c)) for r, c in expected.items()]
             forward = _direct_transform(values, +1)
             assert list(map(repr, _transform(values, +1))) == list(map(repr, forward))
-            active = [k for k in range(1, w + 1) if abs(forward[k % w]) > ZERO_TOLERANCE]
+            active = [k for k in range(1, w + 1) if abs(forward[k % w]) >= ZERO_TOLERANCE]
             assert gcd_period(s) == w // math.gcd(w, *active)
 
     def test_composite_lengths_within_rounding_floor(self):
         # several axes sum in another order: only the rounding may change
         for values in self._windows(one_axis=False):
             w = len(values)
-            floor = w * sys.float_info.epsilon * max(abs(_to_complex(v)) for v in values)
+            floor = w * sys.float_info.epsilon * max(abs(complex(v)) for v in values)
             s = PeriodicSamples(tuple(values))
             inverse = _direct_transform(values, -1)
             expected = SpectralMap({RootIndex.reduced(r, w): c for r, c in enumerate(inverse)})
@@ -190,7 +186,7 @@ class TestTransformTable:
             forward = _direct_transform(values, +1)
             for sign, direct in ((-1, inverse), (+1, forward)):
                 assert max(map(abs, map(sub, _transform(values, sign), direct))) <= floor
-            active = [k for k in range(1, w + 1) if abs(forward[k % w]) > ZERO_TOLERANCE]
+            active = [k for k in range(1, w + 1) if abs(forward[k % w]) >= ZERO_TOLERANCE]
             assert gcd_period(s) == w // math.gcd(w, *active)
 
     @pytest.mark.parametrize("w", [1, 12, 210, 2310, 30030])
@@ -265,6 +261,12 @@ class TestPeriodFormulas:
         assert gcd_period(s) == 3
         assert naive_fundamental_period(s) == 3
         assert support_period(samples_to_spectrum(s)) == 3
+
+    def test_coefficient_at_the_threshold_counts_in_both_transforms(self):
+        # both coefficients are exactly 1e-9, the zero threshold: the support
+        # and the active frequency indices must read them the same way
+        s = PeriodicSamples((2e-9, 0))
+        assert support_period(samples_to_spectrum(s)) == gcd_period(s) == naive_fundamental_period(s) == 2
 
     def test_naive_examples(self):
         assert naive_fundamental_period(PeriodicSamples((1, 0, 1, 0))) == 2
