@@ -54,8 +54,6 @@ from .indicator import (
 )
 from .spectrum import (
     PeriodicSamples,
-    RootIndex,
-    SpectralMap,
     combination_spectrum,
     gcd_period,
     indicator_spectrum,

@@ -243,7 +243,7 @@ def assemble_constraints(
     pairs = tuple(pair for _, pair in entries)
     required = frozenset().union(*(pair.required for pair in pairs))
     excluded = frozenset().union(*(pair.excluded for pair in pairs))
-    base = math.lcm(*required) if required else 1
+    base = math.lcm(*required)
     degenerate = any(base % b == 0 for b in excluded)
     return SolutionConstraints(solution, required, excluded, degenerate, pairs, cases)
 

@@ -318,8 +318,8 @@ def cmd_spectrum_periods(args) -> int:
 def cmd_spectrum_indicator(args) -> int:
     g = indicator_spectrum(args.a)
     print(f"spectrum of the divisibility-by-{args.a} indicator: {len(g)} roots")
-    for root, coeff in g.items():
-        print(f"  e({root.num}/{root.den}): {coeff}")
+    for x, coeff in g.items():
+        print(f"  e({x.numerator}/{x.denominator}): {coeff}")
     print(f"support_period = {support_period(g)}")
     return EXIT_OK
 
@@ -331,7 +331,7 @@ def cmd_spectrum_of_indicator(args) -> int:
     print(f"active orders ({len(nets)}): {', '.join(str(d) for d in nets)}")
     for den, net in nets.items():
         print(f"  order {den}: net {net}")
-    print(f"support_period = {math.lcm(*nets) if nets else 1}")
+    print(f"support_period = {math.lcm(*nets)}")
     return EXIT_OK
 
 

@@ -115,7 +115,7 @@ def expand_solution(constraints: SolutionConstraints) -> IndicatorCombination:
     """
     if constraints.degenerate:
         raise ValueError("cannot expand a degenerate solution")
-    base = math.lcm(*constraints.required) if constraints.required else 1
+    base = math.lcm(*constraints.required)
     terms = {base: 1}
     for b in constraints.excluded:
         for modulus, coeff in list(terms.items()):
@@ -126,7 +126,7 @@ def expand_solution(constraints: SolutionConstraints) -> IndicatorCombination:
 
 def fundamental_period(comb: IndicatorCombination) -> int:
     """lcm of the moduli; 1 for the zero combination."""
-    return math.lcm(*(modulus for modulus, _ in comb.terms)) if comb.terms else 1
+    return math.lcm(*(modulus for modulus, _ in comb.terms))
 
 
 def order(comb: IndicatorCombination) -> Order:
@@ -276,8 +276,8 @@ def _pipeline(
     return (
         constraints,
         comb,
-        math.lcm(*omega_f_parts) if omega_f_parts else 1,
-        math.lcm(*moduli) if moduli else 1,
+        math.lcm(*omega_f_parts),
+        math.lcm(*moduli),
     )
 
 

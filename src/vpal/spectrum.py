@@ -6,9 +6,14 @@ arises that way from exactly one map.  This module converts one window of
 samples to its map, computes the fundamental period three independent ways,
 and expresses indicator combinations exactly in spectral form.
 
+A spectrum is a plain dict from `Fraction` phase to coefficient: the key x,
+with 0 <= x < 1, stands for the root of unity e(x) = exp(2*pi*i*x), whose
+order is x.denominator.  Entries iterate by (denominator, numerator), and
+every coefficient in them is nonzero.
+
 `samples_to_spectrum` and `gcd_period` each run their own transform but read
 its support through one filter, `_active`, so the two formulas agree on which
-coefficients count as zero.
+coefficients count as zero; it is the module's one zero rule.
 
 A window of length w with prime-power factors q_1 ... q_k is transformed
 along its Chinese-remainder axes (the prime-factor transform of I. J. Good,
@@ -23,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import InvalidInput
 from .indicator import IndicatorCombination
@@ -38,67 +43,12 @@ ZERO_TOLERANCE = 1e-9
 
 Coefficient = Union[int, Fraction, float, complex]
 
+#: Root-of-unity phase -> coefficient, iterating by (denominator, numerator).
+Spectrum = dict[Fraction, Coefficient]
+
 
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
-
-
-@dataclass(frozen=True)
-class RootIndex:
-    """A root of unity e(num/den) = exp(2*pi*i*num/den), indexed by its phase
-    in lowest terms; den is the primitive order of the root."""
-
-    num: int
-    den: int
-
-    def __post_init__(self):
-        if self.den < 1 or not 0 <= self.num < self.den:
-            raise ValueError("need 0 <= num < den")
-        if math.gcd(self.num, self.den) != 1 and self.den != 1:
-            raise ValueError("num/den must be in lowest terms")
-
-    @classmethod
-    def reduced(cls, num: int, den: int) -> "RootIndex":
-        if den < 1:
-            raise ValueError("den must be positive")
-        num %= den
-        g = math.gcd(num, den)
-        return cls(num // g, den // g)
-
-
-class SpectralMap:
-    """Finitely supported map RootIndex -> coefficient.
-
-    Exact zero coefficients are dropped at construction; float/complex ones
-    are dropped below ZERO_TOLERANCE.  Entries iterate sorted by (den, num).
-    """
-
-    def __init__(self, entries: Mapping[RootIndex, Coefficient]):
-        kept = {}
-        for root, coeff in entries.items():
-            if _is_exact(coeff):
-                if coeff == 0:
-                    continue
-            elif abs(coeff) < ZERO_TOLERANCE:
-                continue
-            kept[root] = coeff
-        self._entries = dict(sorted(kept.items(), key=lambda kv: (kv[0].den, kv[0].num)))
-
-    def items(self):
-        return self._entries.items()
-
-    def coefficient(self, root: RootIndex) -> Coefficient:
-        return self._entries.get(root, 0)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SpectralMap) and self._entries == other._entries
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"e({r.num}/{r.den}): {c}" for r, c in self.items())
-        return f"SpectralMap({{{inner}}})"
 
 
 @dataclass(frozen=True)
@@ -116,12 +66,12 @@ class PeriodicSamples:
         return len(self.values)
 
 
-def support_period(g: SpectralMap) -> int:
+def support_period(g: Spectrum) -> int:
     """lcm of the primitive orders over the support; 1 for the empty map.
 
     This is the fundamental period of the function the map represents.
     """
-    return math.lcm(*(root.den for root, _ in g.items())) if len(g) else 1
+    return math.lcm(*(x.denominator for x in g))
 
 
 def _transform(values, sign: int) -> list[complex]:
@@ -200,7 +150,7 @@ def _active(values, sign: int) -> list[tuple[int, complex]]:
     return [(r, c) for r, c in enumerate(_transform(values, sign)) if abs(c) >= threshold]
 
 
-def samples_to_spectrum(s: PeriodicSamples) -> SpectralMap:
+def samples_to_spectrum(s: PeriodicSamples) -> Spectrum:
     """Invert one window of samples into root-of-unity coefficients.
 
     Good-Thomas inverse transform in w * (q_1 + ... + q_k) terms, for a
@@ -209,7 +159,8 @@ def samples_to_spectrum(s: PeriodicSamples) -> SpectralMap:
     Raises InvalidInput for samples so large that the sums could overflow.
     """
     w = s.period
-    return SpectralMap({RootIndex.reduced(r, w): c for r, c in _active(s.values, -1)})
+    roots = [(Fraction(r, w), c) for r, c in _active(s.values, -1)]
+    return dict(sorted(roots, key=lambda xc: (xc[0].denominator, xc[0].numerator)))
 
 
 def gcd_period(s: PeriodicSamples) -> int:
@@ -244,7 +195,7 @@ def naive_fundamental_period(s: PeriodicSamples) -> int:
     return w
 
 
-def indicator_spectrum(a: int) -> SpectralMap:
+def indicator_spectrum(a: int) -> Spectrum:
     """The divisibility-by-a indicator as coefficient 1/a on every a-th root
     of unity (exactly a entries, one per reduced fraction with denominator
     dividing a): the spectrum of the combination I_a."""
@@ -273,16 +224,16 @@ def net_coefficients(comb: IndicatorCombination) -> dict[int, Fraction]:
     return nets
 
 
-def combination_spectrum(comb: IndicatorCombination) -> SpectralMap:
+def combination_spectrum(comb: IndicatorCombination) -> Spectrum:
     """Exact spectrum of an indicator combination.
 
     The support holds one entry per reduced fraction whose denominator has a
     nonzero net coefficient, so its size is bounded by the fundamental period;
     intended for combinations with periods up to a few thousand.
     """
-    entries: dict[RootIndex, Fraction] = {}
-    for den, net in net_coefficients(comb).items():
-        for num in range(den):
-            if math.gcd(num, den) == 1:
-                entries[RootIndex(num, den)] = net
-    return SpectralMap(entries)
+    return {
+        Fraction(num, den): net
+        for den, net in net_coefficients(comb).items()
+        for num in range(den)
+        if math.gcd(num, den) == 1
+    }

@@ -1,23 +1,24 @@
-"""The inverse of `samples_to_spectrum`, for tests: evaluate a spectral map
-back into samples by summing coeff * root**x over its support."""
+"""The inverse of `samples_to_spectrum`, for tests: evaluate a spectrum
+back into samples by summing coeff * e(x)**k over its support."""
 
 import cmath
 import math
+from fractions import Fraction
 
-from vpal import PeriodicSamples, RootIndex, SpectralMap, support_period
-
-
-def root_value(root: RootIndex) -> complex:
-    """The complex number e(num/den) = exp(2*pi*i*num/den)."""
-    return cmath.exp(2j * math.pi * root.num / root.den)
+from vpal import PeriodicSamples, support_period
 
 
-def eval_spectrum(g: SpectralMap, x: int) -> complex:
-    """The finite sum of coeff * root**x over the support."""
-    return sum((complex(c) * root_value(RootIndex.reduced(r.num * x, r.den)) for r, c in g.items()), 0j)
+def root_value(x: Fraction) -> complex:
+    """The complex number e(x) = exp(2*pi*i*x)."""
+    return cmath.exp(2j * math.pi * x.numerator / x.denominator)
 
 
-def spectrum_to_samples(g: SpectralMap, omega: int) -> PeriodicSamples:
+def eval_spectrum(g: dict, k: int) -> complex:
+    """The finite sum of coeff * e(x)**k = coeff * e(x*k mod 1) over the support."""
+    return sum((complex(c) * root_value((x * k) % 1) for x, c in g.items()), 0j)
+
+
+def spectrum_to_samples(g: dict, omega: int) -> PeriodicSamples:
     """Evaluate on 0..omega-1; omega must be a multiple of the support period."""
     if omega < 1:
         raise ValueError("omega must be >= 1")

@@ -7,15 +7,14 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 
 from vpal import (
     IndicatorCombination,
     PeriodicSamples,
-    RootIndex,
     SearchProperty,
-    SpectralMap,
     Unverified,
     analyze,
     anomaly_witness,
@@ -241,12 +240,11 @@ def test_criterion_6_spectral_property_suite():
             for w in moduli:
                 for num in range(w):
                     if math.gcd(num, w) == 1:
-                        entries[RootIndex(num, w)] = complex(
+                        entries[Fraction(num, w)] = complex(
                             rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
                         )
-            g = SpectralMap(entries)
             window = math.lcm(*moduli)
-            samples = spectrum_to_samples(g, window)
+            samples = spectrum_to_samples(entries, window)
             assert naive_fundamental_period(samples) == window
 
 

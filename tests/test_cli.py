@@ -262,8 +262,16 @@ class TestSpectrum:
     def test_indicator(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "indicator", "6")
         assert code == EXIT_OK
-        assert "6 roots" in out
-        assert out.count(": 1/6") == 6
+        assert out == (
+            "spectrum of the divisibility-by-6 indicator: 6 roots\n"
+            "  e(0/1): 1/6\n"
+            "  e(1/2): 1/6\n"
+            "  e(1/3): 1/6\n"
+            "  e(2/3): 1/6\n"
+            "  e(1/6): 1/6\n"
+            "  e(5/6): 1/6\n"
+            "support_period = 6\n"
+        )
 
     def test_of_indicator(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "of-indicator", "126")

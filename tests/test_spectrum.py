@@ -13,8 +13,6 @@ from vpal import (
     IndicatorCombination,
     InvalidInput,
     PeriodicSamples,
-    RootIndex,
-    SpectralMap,
     analyze,
     combination_spectrum,
     evaluate,
@@ -32,27 +30,30 @@ from vpal.spectrum import ZERO_TOLERANCE, _transform
 from spectral_inverse import eval_spectrum, spectrum_to_samples
 
 
-class TestRootIndex:
-    def test_reduction(self):
-        assert RootIndex.reduced(6, 4) == RootIndex(1, 2)
-        assert RootIndex.reduced(-1, 4) == RootIndex(3, 4)
-        assert RootIndex.reduced(0, 7) == RootIndex(0, 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RootIndex(2, 4)
-        with pytest.raises(ValueError):
-            RootIndex(5, 4)
+class TestSpectrumKeys:
+    def test_reduced_phases_by_denominator_then_numerator(self):
+        # frequency r of a window of length w is the phase r/w in lowest terms
+        g = samples_to_spectrum(PeriodicSamples((1, 0, 0, 0)))
+        assert list(g) == [Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
+        assert all(type(x) is Fraction for x in g)
+        assert list(indicator_spectrum(6)) == [
+            Fraction(0),
+            Fraction(1, 2),
+            Fraction(1, 3),
+            Fraction(2, 3),
+            Fraction(1, 6),
+            Fraction(5, 6),
+        ]
 
 
 class TestEvalSpectrum:
     def test_constant(self):
-        g = SpectralMap({RootIndex(0, 1): 1})
+        g = {Fraction(0): 1}
         for x in (-3, 0, 5):
             assert abs(eval_spectrum(g, x) - 1) < 1e-12
 
     def test_alternating(self):
-        g = SpectralMap({RootIndex(1, 2): 1})
+        g = {Fraction(1, 2): 1}
         assert abs(eval_spectrum(g, 3) - (-1)) < 1e-12
 
     def test_indicator_of_two_at_four(self):
@@ -61,11 +62,11 @@ class TestEvalSpectrum:
 
 class TestSupportPeriod:
     def test_lcm_of_denominators(self):
-        g = SpectralMap({RootIndex(1, 3): 1.0, RootIndex(1, 4): 2.0})
+        g = {Fraction(1, 3): 1.0, Fraction(1, 4): 2.0}
         assert support_period(g) == 12
 
     def test_empty(self):
-        assert support_period(SpectralMap({})) == 1
+        assert support_period({}) == 1
 
     def test_combination_126(self):
         assert support_period(combination_spectrum(analyze(126).combination)) == 3542
@@ -84,26 +85,26 @@ class TestSamplesToSpectrum:
     def test_constant(self):
         g = samples_to_spectrum(PeriodicSamples((5,)))
         assert len(g) == 1
-        assert abs(g.coefficient(RootIndex(0, 1)) - 5) < 1e-12
+        assert abs(g[Fraction(0)] - 5) < 1e-12
 
     def test_two_point(self):
         g = samples_to_spectrum(PeriodicSamples((1, 0)))
-        for root in (RootIndex(0, 1), RootIndex(1, 2)):
-            assert abs(g.coefficient(root) - 0.5) < 1e-12
+        for root in (Fraction(0), Fraction(1, 2)):
+            assert abs(g[root] - 0.5) < 1e-12
 
     def test_four_point_pulse(self):
         g = samples_to_spectrum(PeriodicSamples((1, 0, 0, 0)))
         assert len(g) == 4
-        assert all(abs(c - 0.25) < 1e-12 for _, c in g.items())
+        assert all(abs(c - 0.25) < 1e-12 for c in g.values())
 
     @pytest.mark.parametrize("a", range(1, 41))
     def test_matches_exact_indicator_spectrum(self, a):
         samples = PeriodicSamples(tuple(1 if x % a == 0 else 0 for x in range(a)))
         g = samples_to_spectrum(samples)
         exact = indicator_spectrum(a)
-        assert {r for r, _ in g.items()} == {r for r, _ in exact.items()}
+        assert set(g) == set(exact)
         for root, coeff in exact.items():
-            assert abs(g.coefficient(root) - float(coeff)) < 1e-12
+            assert abs(g[root] - float(coeff)) < 1e-12
 
     @pytest.mark.parametrize(
         "values",
@@ -126,7 +127,7 @@ class TestSamplesToSpectrum:
         big = sys.float_info.max / 4
         s = PeriodicSamples((big, big, -big, -big))
         g = samples_to_spectrum(s)
-        assert all(cmath.isfinite(c) for _, c in g.items())
+        assert all(cmath.isfinite(c) for c in g.values())
         assert support_period(g) == gcd_period(s) == naive_fundamental_period(s) == 4
 
 
@@ -140,6 +141,14 @@ def _direct_transform(values, sign):
         / w
         for r in range(w)
     ]
+
+
+def _direct_spectrum(inverse):
+    """The (phase, coefficient) pairs of a direct inverse transform with
+    |c| >= ZERO_TOLERANCE, ordered by (denominator, numerator)."""
+    w = len(inverse)
+    kept = [(Fraction(r, w), c) for r, c in enumerate(inverse) if abs(c) >= ZERO_TOLERANCE]
+    return sorted(kept, key=lambda xc: (xc[0].denominator, xc[0].numerator))
 
 
 class TestTransformTable:
@@ -165,9 +174,9 @@ class TestTransformTable:
             w = len(values)
             s = PeriodicSamples(tuple(values))
             inverse = _direct_transform(values, -1)
-            expected = SpectralMap({RootIndex.reduced(r, w): c for r, c in enumerate(inverse)})
+            expected = _direct_spectrum(inverse)
             got = samples_to_spectrum(s)
-            assert [(r, repr(c)) for r, c in got.items()] == [(r, repr(c)) for r, c in expected.items()]
+            assert [(r, repr(c)) for r, c in got.items()] == [(r, repr(c)) for r, c in expected]
             forward = _direct_transform(values, +1)
             assert list(map(repr, _transform(values, +1))) == list(map(repr, forward))
             active = [k for k in range(1, w + 1) if abs(forward[k % w]) >= ZERO_TOLERANCE]
@@ -180,9 +189,9 @@ class TestTransformTable:
             floor = w * sys.float_info.epsilon * max(abs(complex(v)) for v in values)
             s = PeriodicSamples(tuple(values))
             inverse = _direct_transform(values, -1)
-            expected = SpectralMap({RootIndex.reduced(r, w): c for r, c in enumerate(inverse)})
+            expected = _direct_spectrum(inverse)
             got = samples_to_spectrum(s)
-            assert [r for r, _ in got.items()] == [r for r, _ in expected.items()]
+            assert list(got) == [r for r, _ in expected]
             forward = _direct_transform(values, +1)
             for sign, direct in ((-1, inverse), (+1, forward)):
                 assert max(map(abs, map(sub, _transform(values, sign), direct))) <= floor
@@ -206,7 +215,7 @@ class TestTransformTable:
         block = (big, -big, big, big, -big, -big)
         s = PeriodicSamples(block * (w // len(block)))
         g = samples_to_spectrum(s)
-        assert all(cmath.isfinite(c) for _, c in g.items())
+        assert all(cmath.isfinite(c) for c in g.values())
         assert all(cmath.isfinite(c) for c in _transform(s.values, +1))
         assert support_period(g) == gcd_period(s) == naive_fundamental_period(s) == 6
 
@@ -223,7 +232,7 @@ class TestTransformTable:
 
 class TestSpectrumToSamples:
     def test_alternating(self):
-        s = spectrum_to_samples(SpectralMap({RootIndex(1, 2): 1}), 2)
+        s = spectrum_to_samples({Fraction(1, 2): 1}, 2)
         assert abs(s.values[0] - 1) < 1e-12 and abs(s.values[1] + 1) < 1e-12
 
     def test_indicator_window(self):
@@ -322,14 +331,14 @@ class TestIndicatorSpectrum:
     def test_small(self):
         assert len(indicator_spectrum(1)) == 1
         g = indicator_spectrum(2)
-        assert g.coefficient(RootIndex(0, 1)) == Fraction(1, 2)
-        assert g.coefficient(RootIndex(1, 2)) == Fraction(1, 2)
+        assert g[Fraction(0)] == Fraction(1, 2)
+        assert g[Fraction(1, 2)] == Fraction(1, 2)
 
     def test_six(self):
         g = indicator_spectrum(6)
         assert len(g) == 6
-        assert {root.den for root, _ in g.items()} == {1, 2, 3, 6}
-        assert all(c == Fraction(1, 6) for _, c in g.items())
+        assert {x.denominator for x in g} == {1, 2, 3, 6}
+        assert all(c == Fraction(1, 6) for c in g.values())
 
     def test_interpolates_divisibility(self):
         for a in (1, 2, 3, 4, 6, 10):
@@ -343,7 +352,7 @@ class TestCombinationSpectrum:
     def test_constant(self):
         g = combination_spectrum(IndicatorCombination(((1, 1),)))
         assert len(g) == 1
-        assert g.coefficient(RootIndex(0, 1)) == 1
+        assert g[Fraction(0)] == 1
 
     def test_support_period_equals_fundamental_period(self):
         for n in (13, 18, 48, 56, 122, 126):
@@ -388,7 +397,7 @@ class TestCombinationSpectrum:
             comb = IndicatorCombination(terms)
             nets = net_coefficients(comb)
             g = combination_spectrum(comb)
-            dens = {root.den for root, _ in g.items()}
+            dens = {x.denominator for x in g}
             assert dens == set(nets)
             for den in dens:
                 direct = sum(
@@ -411,10 +420,9 @@ class TestRamanujanSums:
             for w in moduli:
                 for num in range(w):
                     if math.gcd(num, w) == 1:
-                        entries[RootIndex(num, w)] = complex(
+                        entries[Fraction(num, w)] = complex(
                             rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
                         )
-            g = SpectralMap(entries)
             window = math.lcm(*moduli)
-            s = spectrum_to_samples(g, window)
+            s = spectrum_to_samples(entries, window)
             assert naive_fundamental_period(s) == window
