@@ -110,18 +110,11 @@ _CASES = dict(zip([(0, 0), (1, 1), (0, 1), (1, None), (2, None), (0, None)], Cas
 
 @dataclass(frozen=True)
 class ConstraintPair:
-    """Conditions one prime puts on the repetition count k: k must be
-    divisible by everything in required and by nothing in excluded.
-
-    Each set holds at most one modulus.
-    """
+    """Conditions on the repetition count k: k must be divisible by
+    everything in required and by nothing in excluded."""
 
     required: frozenset[int]
     excluded: frozenset[int]
-
-    def __post_init__(self):
-        if len(self.required) > 1 or len(self.excluded) > 1:
-            raise ValueError("a constraint pair holds at most one modulus per side")
 
 
 _EMPTY: frozenset[int] = frozenset()
@@ -141,10 +134,10 @@ def constraint_table(
     lift exponents in {0, 1, >= 2} that give u: an interval [lo, hi] of v,
     whose bounds pick one of the seven cases ([vii]: no v at all).
     v >= j exactly when repetition_order(p, j, digits) divides k, so the pair
-    requires the order for lo >= 1 and excludes the one for hi + 1.  For p = 2
-    and p = 5 the repetition number is never divisible by p (v = 0), so the
-    pair is vacuous or impossible; impossible combinations get the
-    always-false pair (nothing required, 1 excluded).
+    requires the order for lo >= 1 and excludes the one for hi + 1, at most
+    one modulus a side.  For p = 2 and 5 the repetition number is never
+    divisible by p (v = 0): the pair is vacuous or, for impossible
+    combinations, always false (nothing required, 1 excluded).
 
     The table may compute an order for a weight that no solution uses.  That
     never adds a BudgetExceeded: either order factors only p - 1 and a power
@@ -235,10 +228,8 @@ def assemble_constraints(
     budget: int = DEFAULT_BUDGET,
 ) -> SolutionConstraints:
     """Union the per-prime pairs and flag unsatisfiable solutions."""
-    entries = [
-        _constraint_table(r.p, abs(r.delta), r.mu, digits, budget)[u]
-        for r, u in zip(records, solution, strict=True)
-    ]
+    tables = (_constraint_table(r.p, abs(r.delta), r.mu, digits, budget) for r in records)
+    entries = [table[u] for table, u in zip(tables, solution, strict=True)]
     cases = tuple(case for case, _ in entries)
     pairs = tuple(pair for _, pair in entries)
     required = frozenset().union(*(pair.required for pair in pairs))

@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
 from .characteristic import (
+    ConstraintPair,
     CrucialPrimeRecord,
     SolutionConstraints,
     assemble_constraints,
+    constraint_table,
     crucial_primes,
     in_divisibility_set,
     solve_characteristic,
@@ -106,16 +108,16 @@ def evaluate(comb: IndicatorCombination, x: int) -> int:
     return sum(coeff for modulus, coeff in comb.terms if x % modulus == 0)
 
 
-def expand_solution(constraints: SolutionConstraints) -> IndicatorCombination:
-    """Indicator of one solution's divisibility set, by inclusion-exclusion
-    over the excluded moduli on top of the lcm of the required ones.
+def expand_solution(constraints: SolutionConstraints | ConstraintPair) -> IndicatorCombination:
+    """Indicator of the divisibility set of anything with required and
+    excluded moduli, by inclusion-exclusion over the excluded ones on top of
+    the lcm base of the required ones; ValueError if an excluded one divides base.
 
     Multiplies out I_base * prod(1 - I_b) one excluded b at a time, merging
-    terms with equal moduli as they appear.
-    """
-    if constraints.degenerate:
-        raise ValueError("cannot expand a degenerate solution")
+    terms with equal moduli as they appear."""
     base = math.lcm(*constraints.required)
+    if any(base % b == 0 for b in constraints.excluded):
+        raise ValueError("cannot expand a degenerate solution")
     terms = {base: 1}
     for b in constraints.excluded:
         for modulus, coeff in list(terms.items()):
@@ -146,12 +148,19 @@ class AnalysisReport:
     n_factorization: Factorization
     reverse_factorization: Factorization
     records: tuple[CrucialPrimeRecord, ...]
-    constraints: tuple[SolutionConstraints, ...]
+    solutions: tuple[tuple[int, ...], ...]
     combination: IndicatorCombination
     order: Order
     omega0: int
     omega_f: int
     omega_b: int
+    budget: int
+
+    @cached_property
+    def constraints(self) -> tuple[SolutionConstraints, ...]:
+        """Every solution's constraints, assembled from n's own records on first read."""
+        args = self.records, self.digits, self.budget
+        return tuple(assemble_constraints(s, *args) for s in self.solutions)
 
     def to_json_dict(self) -> dict:
         """Stable JSON shape; all integers as decimal strings.
@@ -214,10 +223,9 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
 
     Steps: crucial_primes checks n, factors n and its reversal and picks out
     the crucial primes (the report's two factorizations are then memo hits);
-    _pipeline takes the records, solves the characteristic equation,
-    assembles constraints per solution, discards the degenerate ones, expands
-    the survivors into the canonical combination and computes omega_f and
-    omega_b; order and omega0 are read off the combination.
+    _pipeline solves the characteristic equation, expands the nondegenerate
+    solutions into the canonical combination and computes omega_f and omega_b;
+    order and omega0 are read off it, and the constraints assembled on first read.
 
     The report itself is built afresh on every call.  The one memo of the
     pipeline is _pipeline's, keyed on the records with every sign flipped when the first
@@ -227,7 +235,7 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
     records = crucial_primes(n, budget)
     rev = reverse_digits(n)
     d = digit_count(n)
-    constraints, comb, bound_f, bound_b = _pipeline(_signature(records), d, budget)
+    solutions, comb, bound_f, bound_b = _pipeline(_signature(records), d, budget)
     return AnalysisReport(
         n=n,
         reverse=rev,
@@ -235,12 +243,13 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
         n_factorization=factorize(n, budget),
         reverse_factorization=factorize(rev, budget),
         records=records,
-        constraints=constraints,
+        solutions=solutions,
         combination=comb,
         order=order(comb),
         omega0=fundamental_period(comb),
         omega_f=bound_f,
         omega_b=bound_b,
+        budget=budget,
     )
 
 
@@ -259,26 +268,29 @@ def _signature(records: tuple[CrucialPrimeRecord, ...]) -> tuple[CrucialPrimeRec
 @lru_cache(maxsize=1 << 12)
 def _pipeline(
     records: tuple[CrucialPrimeRecord, ...], digits: int, budget: int
-) -> tuple[tuple[SolutionConstraints, ...], IndicatorCombination, int, int]:
-    """Constraints per characteristic solution, the combination of the
-    nondegenerate ones, omega_f and omega_b, for crucial primes at a digit
-    width."""
+) -> tuple[tuple[tuple[int, ...], ...], IndicatorCombination, int, int]:
+    """The characteristic solutions, the combination of the nondegenerate
+    ones, omega_f and omega_b, for crucial primes at a digit width; of each
+    solution it keeps only the lcm base of its required moduli and its
+    excluded ones, whose lcm over the nondegenerate solutions is omega_b."""
     solutions = solve_characteristic(records)
-    constraints = tuple(assemble_constraints(s, records, digits, budget) for s in solutions)
-    live = [c for c in constraints if not c.degenerate]
-    comb = IndicatorCombination.collect(
-        pair for c in live for pair in expand_solution(c).terms
-    )
+    tables = []
+    if solutions:  # an unsolvable equation needs no repetition orders
+        tables = [constraint_table(r.p, abs(r.delta), r.mu, digits, budget) for r in records]
+    terms, omega_b = [], 1
+    for solution in solutions:
+        required, excluded = [], []
+        for table, u in zip(tables, solution):
+            pair = table[u][1]
+            required += pair.required
+            excluded += pair.excluded
+        base = math.lcm(*required)
+        if any(base % b == 0 for b in excluded):
+            continue
+        terms += expand_solution(ConstraintPair(frozenset((base,)), frozenset(excluded))).terms
+        omega_b = math.lcm(omega_b, base, *excluded)
     omega_f_parts = [repetition_order(r.p, 2, digits, budget) for r in records if r.p not in (2, 5)]
-    moduli = set()
-    for c in live:
-        moduli |= c.required | c.excluded
-    return (
-        constraints,
-        comb,
-        math.lcm(*omega_f_parts),
-        math.lcm(*moduli),
-    )
+    return solutions, IndicatorCombination.collect(terms), math.lcm(*omega_f_parts), omega_b
 
 
 def type_of(n: int, k: int) -> tuple[int, ...] | None:

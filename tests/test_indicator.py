@@ -1,8 +1,10 @@
 """Canonical indicator combinations, their evaluation, orders, and periods."""
 
+import hashlib
 import json
 import math
 import random
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -13,10 +15,12 @@ from hypothesis import strategies as st
 from vpal import (
     DEFAULT_BUDGET,
     INFINITE,
+    ConstraintPair,
     CrucialPrimeRecord,
     IndicatorCombination,
     Infinite,
     InvalidInput,
+    SearchProperty,
     SolutionConstraints,
     analyze,
     assemble_constraints,
@@ -29,10 +33,15 @@ from vpal import (
     fundamental_period,
     in_divisibility_set,
     order,
+    repetition_order,
     reverse_digits,
+    search_iter,
     solve_characteristic,
     type_of,
+    verify,
 )
+from vpal import characteristic
+from vpal.cli import main, render_report
 from vpal.indicator import _pipeline, _signature
 
 I126 = IndicatorCombination(((154, 1), (3542, -1)))
@@ -69,6 +78,12 @@ class TestExpandSolution:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             expand_solution(constraints_for(126, 0))
+
+    def test_takes_any_required_and_excluded_moduli(self):
+        # degeneracy is read off the moduli by the lcm check, not off a flag
+        assert expand_solution(ConstraintPair(frozenset({154}), frozenset({506}))) == I126
+        with pytest.raises(ValueError):
+            expand_solution(ConstraintPair(frozenset({14, 22}), frozenset({7})))
 
     # products of 2, 3, 5, 7 with at most three factors: many moduli divide
     # one another or share an lcm with the base
@@ -266,6 +281,15 @@ class TestAnalyze:
         ]
         assert all(r == reports[0] for r in reports)
         assert _pipeline.cache_info().misses == 1
+        # the memo holds the solutions and the final quantities, no constraints
+        report = reports[0]
+        assert _pipeline(_signature(report.records), report.digits, DEFAULT_BUDGET) == (
+            report.solutions,
+            report.combination,
+            report.omega_f,
+            report.omega_b,
+        )
+        assert _pipeline.cache_info().misses == 1
 
 
 def _eligible(n):
@@ -303,8 +327,11 @@ class TestSharedPipeline:
             _pipeline.cache_clear()
             analyze(n)
             hits = _pipeline.cache_info().hits
-            warm = analyze(rev).to_json_dict()
+            report = analyze(rev)
             assert _pipeline.cache_info().hits == hits + 1
+            # the warm report assembles its constraints from rev's own records
+            assert "constraints" not in vars(report)
+            warm = report.to_json_dict()
             _pipeline.cache_clear()
             assert warm == analyze(rev).to_json_dict(), n
             checked += 1
@@ -330,6 +357,67 @@ class TestSharedPipeline:
         records = crucial_primes(126)
         for i in range(len(records)):
             assert solve_characteristic(_flipped(records, {i})) != solve_characteristic(records)
+
+
+def _reference_pipeline(records, digits):
+    """The combination, omega_f and omega_b by assembling every solution:
+    the live ones are expanded and collected, and omega_b is the lcm of their
+    required and excluded moduli."""
+    constraints = [assemble_constraints(s, records, digits) for s in solve_characteristic(records)]
+    live = [c for c in constraints if not c.degenerate]
+    return (
+        IndicatorCombination.collect(term for c in live for term in expand_solution(c).terms),
+        math.lcm(*(repetition_order(r.p, 2, digits) for r in records if r.p not in (2, 5))),
+        math.lcm(*(m for c in live for m in c.required | c.excluded)),
+    )
+
+
+#: sha256 of render_report(analyze(126)), the walkthrough of the paper's example
+WALKTHROUGH_126_SHA256 = "8836c649211f768ad5f4b3bbddca71464d8edc8d2b6352afd2688f39bd173494"
+
+
+class TestLeanPipeline:
+    """_pipeline reads only what the combination and omega_b need; the full
+    constraints are assembled on a report's first read of them."""
+
+    def test_matches_assembling_every_solution(self):
+        keys = {
+            (_signature(crucial_primes(n)), digit_count(n))
+            for n in [*range(1, 2101), 21726]
+            if _eligible(n)
+        }
+        for records, digits in keys:
+            solutions, *rest = _pipeline(records, digits, DEFAULT_BUDGET)
+            assert solutions == solve_characteristic(records)
+            assert tuple(rest) == _reference_pipeline(records, digits), records
+
+    @given(_records, st.integers(2, 4))
+    @settings(max_examples=300)
+    def test_matches_assembling_every_solution_on_any_records(self, records, digits):
+        _, *rest = _pipeline.__wrapped__(records, digits, DEFAULT_BUDGET)
+        assert tuple(rest) == _reference_pipeline(records, digits)
+
+    def test_search_and_verify_never_assemble(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("assemble_constraints called")
+
+        original = characteristic.assemble_constraints
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "vpal":
+                continue
+            if getattr(module, "assemble_constraints", None) is original:
+                monkeypatch.setattr(module, "assemble_constraints", refuse)
+        _pipeline.cache_clear()
+        hits = list(search_iter(2100, SearchProperty.CONJ1_COUNTEREXAMPLE))
+        assert hits[0].n == 126
+        assert all(row.agrees for row in verify(48, 3))
+        assert main(["spectrum", "of-indicator", "126"]) == 0
+        with pytest.raises(AssertionError):
+            analyze(126).constraints
+        monkeypatch.undo()
+        # the memo filled above serves a report whose tables are built now
+        walkthrough = render_report(analyze(126))
+        assert hashlib.sha256(walkthrough.encode()).hexdigest() == WALKTHROUGH_126_SHA256
 
 
 class TestCanonicalForm:
