@@ -18,6 +18,7 @@ import os
 import sys
 from json.encoder import encode_basestring
 
+from .characteristic import constraint_table
 from .errors import BudgetExceeded, InvalidInput
 from .indicator import AnalysisReport, analyze
 from .numbers import DEFAULT_BUDGET
@@ -53,56 +54,41 @@ PRESET_NOTES = {
 }
 
 
-def canonical_json(obj) -> str:
-    """Stable serialization: insertion-ordered keys, 2-space indent, no
-    floats anywhere on the analysis path (integers travel as strings).
-
-    Byte-identical to json.dumps(obj, indent=2, ensure_ascii=False) for
-    string keys.  Written out here because with an indent the stdlib drops
-    its C encoder for one Python generator per nesting level.
-    """
-    out: list[str] = []
-    _write_json(obj, "\n", out.append)
-    return "".join(out)
+def _array(items, newline: str, brackets: str = "[]") -> str:
+    """JSON array of rendered items, or object of rendered "key": value
+    items with brackets "{}"; the items sit one indent deeper than newline,
+    the line break and indent in front of the closing bracket."""
+    if not items:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-def _write_json(obj, newline: str, emit) -> None:
-    """Emit obj's fragments; newline is the line break and indent that
-    precede obj's closing bracket."""
+def _object(fields: dict[str, str], newline: str) -> str:
+    """JSON object of rendered values under keys that need no escaping."""
+    return _array([f'"{key}": {value}' for key, value in fields.items()], newline, "{}")
+
+
+def _strings(values, newline: str) -> str:
+    """JSON array of integers or case labels as strings, which need no escaping."""
+    return _array([f'"{v}"' for v in values], newline)
+
+
+def canonical_json(obj, newline: str = "\n") -> str:
+    """Stable serialization of verify's rows: insertion-ordered keys, 2-space
+    indent, byte-identical to json.dumps(obj, indent=2, ensure_ascii=False)
+    for string keys.  Reports have their own writer, report_json."""
     if isinstance(obj, str):
-        emit(encode_basestring(obj))
-    elif obj is True:
-        emit("true")
-    elif obj is False:
-        emit("false")
-    elif obj is None:
-        emit("null")
-    elif isinstance(obj, dict):
-        if not obj:
-            emit("{}")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        sep = "{" + inner
-        for key, value in obj.items():
-            emit(sep + encode_basestring(key) + ": ")
-            _write_json(value, inner, emit)
-            sep = comma
-        emit(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            emit("[]")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        sep = "[" + inner
-        for value in obj:
-            emit(sep)
-            _write_json(value, inner, emit)
-            sep = comma
-        emit(newline + "]")
-    else:
-        emit(json.dumps(obj))
+        return encode_basestring(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring(k)}: {canonical_json(v, inner)}" for k, v in obj.items()]
+        return _array(items, newline, "{}")
+    if isinstance(obj, (list, tuple)):
+        return _array([canonical_json(v, inner) for v in obj], newline)
+    return json.dumps(obj)
 
 
 def _fmt_set(values) -> str:
@@ -112,6 +98,61 @@ def _fmt_set(values) -> str:
 def _columns(rows: list[list[str]]) -> str:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
+
+
+def report_json(report: AnalysisReport, newline: str = "\n") -> str:
+    """The report as indented JSON, every integer a decimal string; newline
+    is the line break and indent in front of its closing brace.
+
+    Each crucial prime's constraint table is rendered once: for every weight
+    u, the string "u", its case and its pair object.  A solution joins its
+    weights' fragments and reads its required and excluded moduli and its
+    degeneracy off the pairs, so the report never assembles its constraints.
+    """
+    i1, i2, i3, i4, i5 = (newline + "  " * k for k in range(1, 6))
+    fragments = []  # per crucial prime, weight u -> "u", case, required, excluded, pair object
+    for r in report.records if report.solutions else ():  # unsolvable: no repetition orders
+        table = constraint_table(r.p, abs(r.delta), r.mu, report.digits, report.budget)
+        fragments.append({})
+        for u, (case, pair) in table.items():
+            required, excluded = _strings(sorted(pair.required), i5), _strings(sorted(pair.excluded), i5)
+            pair_json = _object({"p": f'"{r.p}"', "required": required, "excluded": excluded}, i4)
+            fragments[-1][u] = (f'"{u}"', f'"{case.value}"', pair.required, pair.excluded, pair_json)
+    solutions = []
+    for solution in report.solutions:
+        entries = [table[u] for table, u in zip(fragments, solution)]
+        values, cases, required, excluded, pairs = zip(*entries)
+        required = sorted(frozenset().union(*required))
+        excluded = sorted(frozenset().union(*excluded))
+        base = math.lcm(*required)
+        solutions.append(_object({
+            "values": _array(values, i3),
+            "cases": _array(cases, i3),
+            "pairs": _array(pairs, i3),
+            "required": _strings(required, i3),
+            "excluded": _strings(excluded, i3),
+            "degenerate": "true" if any(base % b == 0 for b in excluded) else "false",
+        }, i2))
+    keys = ("p", "exp_n", "exp_reverse", "delta", "mu")
+    records = [_object({k: f'"{getattr(r, k)}"' for k in keys}, i2) for r in report.records]
+    terms = [_object({"c": f'"{m}"', "lambda": f'"{c}"'}, i2) for m, c in report.combination.terms]
+    return _object({
+        "n": f'"{report.n}"',
+        "reverse": f'"{report.reverse}"',
+        "digits": f'"{report.digits}"',
+        "crucial_primes": _array(records, i1),
+        "solutions": _array(solutions, i1),
+        "indicator": _array(terms, i1),
+        "order": f'"{report.order}"',
+        "omega0": f'"{report.omega0}"',
+        "omega_f": f'"{report.omega_f}"',
+        "omega_b": f'"{report.omega_b}"',
+    }, newline)
+
+
+def table_json(reports: list[AnalysisReport]) -> str:
+    """The JSON document `table --format json` prints: the list of reports."""
+    return _array([report_json(r, "\n  ") for r in reports], "\n")
 
 
 def render_report(report: AnalysisReport) -> str:
@@ -171,7 +212,7 @@ def render_report(report: AnalysisReport) -> str:
 def cmd_analyze(args) -> int:
     report = analyze(args.n, args.budget)
     if args.format == "json":
-        print(canonical_json(report.to_json_dict()))
+        print(report_json(report))
     else:
         print(render_report(report))
     return EXIT_OK
@@ -224,7 +265,7 @@ def cmd_table(args) -> int:
     reports = [analyze(n, args.budget) for n in ns]
     notes = PRESET_NOTES if args.preset == "paper" else {}
     if args.format == "json":
-        print(canonical_json([r.to_json_dict() for r in reports]))
+        print(table_json(reports))
         return EXIT_OK
     if args.format == "csv":
         writer = csv.writer(sys.stdout)

@@ -162,59 +162,6 @@ class AnalysisReport:
         args = self.records, self.digits, self.budget
         return tuple(assemble_constraints(s, *args) for s in self.solutions)
 
-    def to_json_dict(self) -> dict:
-        """Stable JSON shape; all integers as decimal strings.
-
-        Solutions that give a crucial prime the same constraint pair share
-        one pair dict: treat the result as read-only.
-        """
-        # one table per crucial prime: the vacuous and always-false pairs are
-        # single objects that several primes share, but each dict names its p
-        pair_dicts = [
-            {
-                pair: {
-                    "p": str(r.p),
-                    "required": [str(a) for a in sorted(pair.required)],
-                    "excluded": [str(b) for b in sorted(pair.excluded)],
-                }
-                for pair in {c.pairs[j] for c in self.constraints}
-            }
-            for j, r in enumerate(self.records)
-        ]
-        return {
-            "n": str(self.n),
-            "reverse": str(self.reverse),
-            "digits": str(self.digits),
-            "crucial_primes": [
-                {
-                    "p": str(r.p),
-                    "exp_n": str(r.exp_n),
-                    "exp_reverse": str(r.exp_reverse),
-                    "delta": str(r.delta),
-                    "mu": str(r.mu),
-                }
-                for r in self.records
-            ],
-            "solutions": [
-                {
-                    "values": [str(v) for v in c.solution],
-                    "cases": [case.value for case in c.cases],
-                    "pairs": [table[pair] for table, pair in zip(pair_dicts, c.pairs)],
-                    "required": [str(a) for a in sorted(c.required)],
-                    "excluded": [str(b) for b in sorted(c.excluded)],
-                    "degenerate": c.degenerate,
-                }
-                for c in self.constraints
-            ],
-            "indicator": [
-                {"c": str(modulus), "lambda": str(coeff)} for modulus, coeff in self.combination.terms
-            ],
-            "order": str(self.order),
-            "omega0": str(self.omega0),
-            "omega_f": str(self.omega_f),
-            "omega_b": str(self.omega_b),
-        }
-
 
 def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
     """Run the whole pipeline for one number.  The report holds the indicator

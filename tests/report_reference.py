@@ -1,0 +1,60 @@
+"""The nested-dict form of an analysis report, for tests: the reference that
+`vpal.cli.report_json` must serialize byte for byte, as
+`canonical_json(to_json_dict(report))`.  It assembles every solution's
+constraints, as the library's own JSON path once did."""
+
+from vpal.indicator import AnalysisReport
+
+
+def to_json_dict(report: AnalysisReport) -> dict:
+    """Stable JSON shape; all integers as decimal strings.
+
+    Solutions that give a crucial prime the same constraint pair share
+    one pair dict: treat the result as read-only.
+    """
+    # one table per crucial prime: the vacuous and always-false pairs are
+    # single objects that several primes share, but each dict names its p
+    pair_dicts = [
+        {
+            pair: {
+                "p": str(r.p),
+                "required": [str(a) for a in sorted(pair.required)],
+                "excluded": [str(b) for b in sorted(pair.excluded)],
+            }
+            for pair in {c.pairs[j] for c in report.constraints}
+        }
+        for j, r in enumerate(report.records)
+    ]
+    return {
+        "n": str(report.n),
+        "reverse": str(report.reverse),
+        "digits": str(report.digits),
+        "crucial_primes": [
+            {
+                "p": str(r.p),
+                "exp_n": str(r.exp_n),
+                "exp_reverse": str(r.exp_reverse),
+                "delta": str(r.delta),
+                "mu": str(r.mu),
+            }
+            for r in report.records
+        ],
+        "solutions": [
+            {
+                "values": [str(v) for v in c.solution],
+                "cases": [case.value for case in c.cases],
+                "pairs": [table[pair] for table, pair in zip(pair_dicts, c.pairs)],
+                "required": [str(a) for a in sorted(c.required)],
+                "excluded": [str(b) for b in sorted(c.excluded)],
+                "degenerate": c.degenerate,
+            }
+            for c in report.constraints
+        ],
+        "indicator": [
+            {"c": str(modulus), "lambda": str(coeff)} for modulus, coeff in report.combination.terms
+        ],
+        "order": str(report.order),
+        "omega0": str(report.omega0),
+        "omega_f": str(report.omega_f),
+        "omega_b": str(report.omega_b),
+    }

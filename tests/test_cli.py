@@ -1,5 +1,6 @@
 """Command-line behaviour: rendering, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from report_reference import to_json_dict
 
+from vpal import analyze, cli, indicator, reverse_digits
 from vpal.cli import (
     EXIT_BUDGET,
     EXIT_DISAGREEMENT,
@@ -17,7 +20,10 @@ from vpal.cli import (
     EXIT_OK,
     canonical_json,
     main,
+    report_json,
+    table_json,
 )
+from vpal.indicator import _pipeline
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -118,6 +124,75 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["omega0"] == "2782759700"  # would overflow naive 32-bit handling
         assert doc["indicator"][0] == {"c": "37100", "lambda": "1"}
+
+
+def assert_matches_reference(report):
+    """report_json against the nested dict of the assembled constraints."""
+    text = report_json(report)
+    reference = to_json_dict(report)
+    assert text == canonical_json(reference), report.n
+    assert json.loads(text) == reference, report.n
+
+
+def _eligible(n):
+    return n % 10 != 0 and reverse_digits(n) != n
+
+
+class TestReportJson:
+    """The report writer renders each crucial prime's constraint table once;
+    its output must equal the reference serialization byte for byte."""
+
+    def test_every_eligible_n_to_2100(self):
+        reports = [analyze(n) for n in range(1, 2101) if _eligible(n)]
+        for report in reports:
+            assert_matches_reference(report)
+        # the "solutions": [] and "indicator": [] layouts are among them
+        assert sum(not r.solutions for r in reports) == 476
+        assert sum(not r.combination.terms for r in reports) == 998
+
+    def test_reversal_analysed_warm_right_after_n(self):
+        checked = 0
+        for n in range(12, 3000, 23):
+            rev = reverse_digits(n)
+            if not (_eligible(n) and _eligible(rev)):
+                continue
+            _pipeline.cache_clear()
+            analyze(n)
+            assert_matches_reference(analyze(rev))
+            checked += 1
+        assert checked == 112
+
+    def test_anchor(self, capsys):
+        report = analyze(1308276133167003)
+        assert len(report.solutions) > 100
+        assert_matches_reference(report)
+        code, out, _ = run_cli(capsys, "analyze", "1308276133167003", "--json")
+        assert code == EXIT_OK
+        assert hashlib.md5(out.encode()).hexdigest() == "9b22caaa5dd11af6cf279973caa6500e"
+
+    def test_json_path_never_assembles(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(indicator, "assemble_constraints", refuse)
+        for argv in (["analyze", "126", "--json"], ["--format", "json", "table", "45", "107"]):
+            assert run_cli(capsys, *argv)[0] == EXIT_OK
+        # an unsolvable equation needs no constraint table
+        monkeypatch.setattr(cli, "constraint_table", refuse)
+        code, out, _ = run_cli(capsys, "analyze", "16", "--json")
+        assert code == EXIT_OK
+        assert '"solutions": []' in out
+
+    def test_table_nests_reports_one_indent_deeper(self, capsys):
+        # 16 has no solutions, 12 only a degenerate one, 45 shares pair objects
+        ns = ["16", "12", "45", "126", "107"]
+        reports = [analyze(int(n)) for n in ns]
+        reference = [to_json_dict(r) for r in reports]
+        assert table_json(reports) == canonical_json(reference)
+        code, out, _ = run_cli(capsys, "--format", "json", "table", *ns)
+        assert code == EXIT_OK
+        assert out == table_json(reports) + "\n"
+        assert json.loads(out) == reference
 
 
 class TestVerify:
