@@ -3,8 +3,9 @@
 A prime whose exponent differs between n and its digit reversal contributes a
 small set of possible "balance weights" to an integer equation; each solution
 of that equation translates, prime by prime, into divisibility conditions on
-the repetition count.  This module builds the records, solves the equation,
-and assembles the per-solution constraint sets.
+the repetition count.  This module builds the records, their case and
+constraint tables, solves the equation, and assembles a solution's constraint
+set from the tables it is given.
 """
 
 from __future__ import annotations
@@ -217,26 +218,20 @@ class SolutionConstraints:
     required: frozenset[int]
     excluded: frozenset[int]
     degenerate: bool
-    pairs: tuple[ConstraintPair, ...]
-    cases: tuple[CaseLabel, ...]
 
 
 def assemble_constraints(
-    solution: tuple[int, ...],
-    records: tuple[CrucialPrimeRecord, ...],
-    digits: int,
-    budget: int = DEFAULT_BUDGET,
+    solution: tuple[int, ...], tables: tuple[dict[int, tuple[CaseLabel, ConstraintPair]], ...]
 ) -> SolutionConstraints:
-    """Union the per-prime pairs and flag unsatisfiable solutions."""
-    tables = (_constraint_table(r.p, abs(r.delta), r.mu, digits, budget) for r in records)
-    entries = [table[u] for table, u in zip(tables, solution, strict=True)]
-    cases = tuple(case for case, _ in entries)
-    pairs = tuple(pair for _, pair in entries)
+    """Union the pairs that a solution's weights index in the constraint
+    tables of its crucial primes, one table per weight in record order, and
+    flag unsatisfiable solutions."""
+    pairs = [table[u][1] for table, u in zip(tables, solution, strict=True)]
     required = frozenset().union(*(pair.required for pair in pairs))
     excluded = frozenset().union(*(pair.excluded for pair in pairs))
     base = math.lcm(*required)
     degenerate = any(base % b == 0 for b in excluded)
-    return SolutionConstraints(solution, required, excluded, degenerate, pairs, cases)
+    return SolutionConstraints(solution, required, excluded, degenerate)
 
 
 def in_divisibility_set(

@@ -16,9 +16,7 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring
 
-from .characteristic import constraint_table
 from .errors import BudgetExceeded, InvalidInput
 from .indicator import AnalysisReport, analyze
 from .numbers import DEFAULT_BUDGET
@@ -74,23 +72,6 @@ def _strings(values, newline: str) -> str:
     return _array([f'"{v}"' for v in values], newline)
 
 
-def canonical_json(obj, newline: str = "\n") -> str:
-    """Stable serialization of verify's rows: insertion-ordered keys, 2-space
-    indent, byte-identical to json.dumps(obj, indent=2, ensure_ascii=False)
-    for string keys.  Reports have their own writer, report_json."""
-    if isinstance(obj, str):
-        return encode_basestring(obj)
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        items = [f"{encode_basestring(k)}: {canonical_json(v, inner)}" for k, v in obj.items()]
-        return _array(items, newline, "{}")
-    if isinstance(obj, (list, tuple)):
-        return _array([canonical_json(v, inner) for v in obj], newline)
-    return json.dumps(obj)
-
-
 def _fmt_set(values) -> str:
     return "{" + ",".join(str(v) for v in sorted(values)) + "}"
 
@@ -104,15 +85,14 @@ def report_json(report: AnalysisReport, newline: str = "\n") -> str:
     """The report as indented JSON, every integer a decimal string; newline
     is the line break and indent in front of its closing brace.
 
-    Each crucial prime's constraint table is rendered once: for every weight
+    Each of the report's constraint tables is rendered once: for every weight
     u, the string "u", its case and its pair object.  A solution joins its
     weights' fragments and reads its required and excluded moduli and its
     degeneracy off the pairs, so the report never assembles its constraints.
     """
     i1, i2, i3, i4, i5 = (newline + "  " * k for k in range(1, 6))
     fragments = []  # per crucial prime, weight u -> "u", case, required, excluded, pair object
-    for r in report.records if report.solutions else ():  # unsolvable: no repetition orders
-        table = constraint_table(r.p, abs(r.delta), r.mu, report.digits, report.budget)
+    for r, table in zip(report.records, report.tables):
         fragments.append({})
         for u, (case, pair) in table.items():
             required, excluded = _strings(sorted(pair.required), i5), _strings(sorted(pair.excluded), i5)
@@ -175,31 +155,27 @@ def render_report(report: AnalysisReport) -> str:
         tag = "degenerate" if cons.degenerate else "nondegenerate"
         lines.append(f"  u{i} = ({', '.join(str(v) for v in cons.solution)})  {tag}")
     if n_sol:
-        lines.append("")
-        lines.append("case table:")
-        rows = [["p"] + [f"u{i}" for i in range(1, n_sol + 1)]]
-        for j, r in enumerate(report.records):
-            rows.append([str(r.p)] + [str(cons.cases[j]) for cons in report.constraints])
-        lines.append(_columns(rows))
-        lines.append("")
-        lines.append("constraint table:")
-        rows = [["p"] + [f"u{i}" for i in range(1, n_sol + 1)]]
-        for j, r in enumerate(report.records):
-            row = [str(r.p)]
-            for cons in report.constraints:
-                pair = cons.pairs[j]
-                row.append(f"({_fmt_set(pair.required)},{_fmt_set(pair.excluded)})")
-            rows.append(row)
-        rows.append(["A"] + [_fmt_set(c.required) for c in report.constraints])
-        rows.append(["B"] + [_fmt_set(c.excluded) for c in report.constraints])
-        rows.append(
+        header = ["p"] + [f"u{i}" for i in range(1, n_sol + 1)]
+        case_rows, pair_rows = [header], [header]
+        for j, (r, table) in enumerate(zip(report.records, report.tables)):
+            # each table entry's case cell and pair cell, rendered once per report
+            cells = {
+                u: (str(case), f"({_fmt_set(pair.required)},{_fmt_set(pair.excluded)})")
+                for u, (case, pair) in table.items()
+            }
+            row = [cells[solution[j]] for solution in report.solutions]
+            case_rows.append([str(r.p)] + [case for case, _ in row])
+            pair_rows.append([str(r.p)] + [pair for _, pair in row])
+        pair_rows.append(["A"] + [_fmt_set(c.required) for c in report.constraints])
+        pair_rows.append(["B"] + [_fmt_set(c.excluded) for c in report.constraints])
+        pair_rows.append(
             ["S"]
             + [
                 "-" if c.degenerate else f"S({_fmt_set(c.required)},{_fmt_set(c.excluded)})"
                 for c in report.constraints
             ]
         )
-        lines.append(_columns(rows))
+        lines += ["", "case table:", _columns(case_rows), "", "constraint table:", _columns(pair_rows)]
     lines.append("")
     lines.append(f"I = {report.combination}")
     lines.append(f"c(n) = {report.order}")
@@ -230,11 +206,20 @@ def cmd_verify(args) -> int:
         return "SKIPPED" if row.agrees is None else row.agrees
 
     if args.format == "json":
+
+        def scalar(value) -> str:  # a bool or a marker, which needs no escaping
+            return f'"{value}"' if isinstance(value, str) else "true" if value else "false"
+
         payload = [
-            {"k": str(r.k), "predicted": r.predicted, "observed": obs(r), "agrees": agr(r)}
+            _object({
+                "k": f'"{r.k}"',
+                "predicted": scalar(r.predicted),
+                "observed": scalar(obs(r)),
+                "agrees": scalar(agr(r)),
+            }, "\n    ")
             for r in rows
         ]
-        print(canonical_json({"n": str(args.n), "rows": payload}))
+        print(_object({"n": f'"{args.n}"', "rows": _array(payload, "\n  ")}, "\n"))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["k", "predicted", "observed", "agrees"])

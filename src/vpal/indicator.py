@@ -6,11 +6,12 @@ the two coarser period bounds omega_f and omega_b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
 from .characteristic import (
+    CaseLabel,
     ConstraintPair,
     CrucialPrimeRecord,
     SolutionConstraints,
@@ -140,7 +141,12 @@ def order(comb: IndicatorCombination) -> Order:
 @dataclass(frozen=True)
 class AnalysisReport:
     """Everything the pipeline derives for one number, kept together so the
-    intermediate tables stay consistent with the final quantities."""
+    intermediate tables stay consistent with the final quantities.
+
+    tables holds each crucial prime's constraint table in record order (none
+    without solutions); a function of records and digits, it is left out of
+    equality and of the hash, so reports stay hashable.
+    """
 
     n: int
     reverse: int
@@ -148,19 +154,18 @@ class AnalysisReport:
     n_factorization: Factorization
     reverse_factorization: Factorization
     records: tuple[CrucialPrimeRecord, ...]
+    tables: tuple[dict[int, tuple[CaseLabel, ConstraintPair]], ...] = field(compare=False)
     solutions: tuple[tuple[int, ...], ...]
     combination: IndicatorCombination
     order: Order
     omega0: int
     omega_f: int
     omega_b: int
-    budget: int
 
     @cached_property
     def constraints(self) -> tuple[SolutionConstraints, ...]:
-        """Every solution's constraints, assembled from n's own records on first read."""
-        args = self.records, self.digits, self.budget
-        return tuple(assemble_constraints(s, *args) for s in self.solutions)
+        """Every solution's constraints, assembled from the report's tables on first read."""
+        return tuple(assemble_constraints(s, self.tables) for s in self.solutions)
 
 
 def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
@@ -170,9 +175,11 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
 
     Steps: crucial_primes checks n, factors n and its reversal and picks out
     the crucial primes (the report's two factorizations are then memo hits);
-    _pipeline solves the characteristic equation, expands the nondegenerate
-    solutions into the canonical combination and computes omega_f and omega_b;
-    order and omega0 are read off it, and the constraints assembled on first read.
+    _pipeline solves the characteristic equation, reads each crucial prime's
+    constraint table, expands the nondegenerate solutions into the canonical
+    combination and computes omega_f and omega_b; order and omega0 are read
+    off it.  Readers take each solution's cases and pairs from the report's
+    tables, and the report assembles its constraints on first read.
 
     The report itself is built afresh on every call.  The one memo of the
     pipeline is _pipeline's, keyed on the records with every sign flipped when the first
@@ -182,7 +189,7 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
     records = crucial_primes(n, budget)
     rev = reverse_digits(n)
     d = digit_count(n)
-    solutions, comb, bound_f, bound_b = _pipeline(_signature(records), d, budget)
+    solutions, tables, comb, bound_f, bound_b = _pipeline(_signature(records), d, budget)
     return AnalysisReport(
         n=n,
         reverse=rev,
@@ -190,13 +197,13 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
         n_factorization=factorize(n, budget),
         reverse_factorization=factorize(rev, budget),
         records=records,
+        tables=tables,
         solutions=solutions,
         combination=comb,
         order=order(comb),
         omega0=fundamental_period(comb),
         omega_f=bound_f,
         omega_b=bound_b,
-        budget=budget,
     )
 
 
@@ -215,15 +222,20 @@ def _signature(records: tuple[CrucialPrimeRecord, ...]) -> tuple[CrucialPrimeRec
 @lru_cache(maxsize=1 << 12)
 def _pipeline(
     records: tuple[CrucialPrimeRecord, ...], digits: int, budget: int
-) -> tuple[tuple[tuple[int, ...], ...], IndicatorCombination, int, int]:
-    """The characteristic solutions, the combination of the nondegenerate
-    ones, omega_f and omega_b, for crucial primes at a digit width; of each
-    solution it keeps only the lcm base of its required moduli and its
-    excluded ones, whose lcm over the nondegenerate solutions is omega_b."""
+) -> tuple[tuple[tuple[int, ...], ...], tuple[dict, ...], IndicatorCombination, int, int]:
+    """The characteristic solutions, each crucial prime's constraint table
+    (none without solutions), the combination of the nondegenerate solutions,
+    omega_f and omega_b, for crucial primes at a digit width; of each solution
+    it keeps only the lcm base of its required moduli and its excluded ones,
+    whose lcm over the nondegenerate solutions is omega_b.
+
+    The one reader of constraint tables.  A table depends on p, |delta| and
+    mu only, which _signature's sign flip keeps, so the tables are n's own.
+    """
     solutions = solve_characteristic(records)
-    tables = []
+    tables = ()
     if solutions:  # an unsolvable equation needs no repetition orders
-        tables = [constraint_table(r.p, abs(r.delta), r.mu, digits, budget) for r in records]
+        tables = tuple(constraint_table(r.p, abs(r.delta), r.mu, digits, budget) for r in records)
     terms, omega_b = [], 1
     for solution in solutions:
         required, excluded = [], []
@@ -237,7 +249,7 @@ def _pipeline(
         terms += expand_solution(ConstraintPair(frozenset((base,)), frozenset(excluded))).terms
         omega_b = math.lcm(omega_b, base, *excluded)
     omega_f_parts = [repetition_order(r.p, 2, digits, budget) for r in records if r.p not in (2, 5)]
-    return solutions, IndicatorCombination.collect(terms), math.lcm(*omega_f_parts), omega_b
+    return solutions, tables, IndicatorCombination.collect(terms), math.lcm(*omega_f_parts), omega_b
 
 
 def type_of(n: int, k: int) -> tuple[int, ...] | None:

@@ -1,7 +1,9 @@
 """The nested-dict form of an analysis report, for tests: the reference that
 `vpal.cli.report_json` must serialize byte for byte, as
-`canonical_json(to_json_dict(report))`.  It assembles every solution's
-constraints, as the library's own JSON path once did."""
+`json.dumps(to_json_dict(report), indent=2, ensure_ascii=False)`.  It
+assembles every solution's constraints, as the library's own JSON path once
+did, and takes each solution's case and pair for a crucial prime from that
+prime's constraint table in the report."""
 
 from vpal.indicator import AnalysisReport
 
@@ -9,21 +11,21 @@ from vpal.indicator import AnalysisReport
 def to_json_dict(report: AnalysisReport) -> dict:
     """Stable JSON shape; all integers as decimal strings.
 
-    Solutions that give a crucial prime the same constraint pair share
-    one pair dict: treat the result as read-only.
+    Solutions that give a crucial prime the same weight share one pair
+    dict: treat the result as read-only.
     """
-    # one table per crucial prime: the vacuous and always-false pairs are
-    # single objects that several primes share, but each dict names its p
+    # one pair dict per crucial prime and weight: the vacuous and always-false
+    # pairs are single objects that several primes share, but each dict names its p
     pair_dicts = [
         {
-            pair: {
+            u: {
                 "p": str(r.p),
                 "required": [str(a) for a in sorted(pair.required)],
                 "excluded": [str(b) for b in sorted(pair.excluded)],
             }
-            for pair in {c.pairs[j] for c in report.constraints}
+            for u, (_, pair) in table.items()
         }
-        for j, r in enumerate(report.records)
+        for r, table in zip(report.records, report.tables)
     ]
     return {
         "n": str(report.n),
@@ -42,8 +44,8 @@ def to_json_dict(report: AnalysisReport) -> dict:
         "solutions": [
             {
                 "values": [str(v) for v in c.solution],
-                "cases": [case.value for case in c.cases],
-                "pairs": [table[pair] for table, pair in zip(pair_dicts, c.pairs)],
+                "cases": [table[u][0].value for table, u in zip(report.tables, c.solution)],
+                "pairs": [dicts[u] for dicts, u in zip(pair_dicts, c.solution)],
                 "required": [str(a) for a in sorted(c.required)],
                 "excluded": [str(b) for b in sorted(c.excluded)],
                 "degenerate": c.degenerate,

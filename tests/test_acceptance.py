@@ -125,9 +125,9 @@ def test_criterion_2_walkthrough_of_126():
             (2, 2, 2, 2),
             (2, 3, 2, 1),
         ]
-        case_rows = [
-            [c.cases[i].value for c in report.constraints] for i in range(len(report.records))
-        ]
+        # each solution's case and pair for a crucial prime are its weight's table entry
+        entries = [[table[s[i]] for s in report.solutions] for i, table in enumerate(report.tables)]
+        case_rows = [[case.value for case, _ in row] for row in entries]
         assert case_rows == [
             ["v", "v", "v", "iii", "iii", "iii", "iii"],
             ["vi", "vi", "vii", "vi", "vii", "vii", "vii"],
@@ -135,8 +135,7 @@ def test_criterion_2_walkthrough_of_126():
             ["v", "ii", "v", "ii", "v", "ii", "v"],
         ]
         pair_rows = [
-            [(sorted(c.pairs[i].required), sorted(c.pairs[i].excluded)) for c in report.constraints]
-            for i in range(len(report.records))
+            [(sorted(pair.required), sorted(pair.excluded)) for _, pair in row] for row in entries
         ]
         assert pair_rows == [
             [([], [1]), ([], [1]), ([], [1]), ([], []), ([], []), ([], []), ([], [])],

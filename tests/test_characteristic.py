@@ -189,7 +189,7 @@ class TestSolver:
         assert [(r.p, r.delta) for r in records] == [(2, 2), (7, -1)]
         solutions = solve_characteristic(records)
         assert solutions == ((2, 2),)
-        cons = assemble_constraints(solutions[0], records, digit_count(12))
+        cons = assemble_constraints(solutions[0], tables_of(records, digit_count(12)))
         assert cons.degenerate
 
     def test_single_positive_record_unsolvable(self):
@@ -239,6 +239,11 @@ def pair_of(record, u, digits):
     return constraint_table(record.p, abs(record.delta), record.mu, digits)[u][1]
 
 
+def tables_of(records, digits):
+    """Each record's constraint table, in record order: what assembly indexes."""
+    return tuple(constraint_table(r.p, abs(r.delta), r.mu, digits) for r in records)
+
+
 class TestConstraintPairs:
     def test_table_entries_for_126(self):
         records = {r.p: r for r in crucial_primes(126)}
@@ -279,7 +284,7 @@ class TestConstraintPairs:
     def test_full_constraint_table_126(self):
         records = crucial_primes(126)
         solutions = solve_characteristic(records)
-        constraints = [assemble_constraints(s, records, 3) for s in solutions]
+        constraints = [assemble_constraints(s, tables_of(records, 3)) for s in solutions]
         assert [set(c.required) for c in constraints] == [
             {14, 506},
             {2, 22},
@@ -320,12 +325,10 @@ class TestDivisibilitySets:
 
     def _nondegenerate_constraints(self, n):
         records = crucial_primes(n)
+        tables = tables_of(records, digit_count(n))
         return [
             c
-            for c in (
-                assemble_constraints(s, records, digit_count(n))
-                for s in solve_characteristic(records)
-            )
+            for c in (assemble_constraints(s, tables) for s in solve_characteristic(records))
             if not c.degenerate
         ]
 
@@ -346,7 +349,7 @@ class TestDivisibilitySets:
                 continue
             records = crucial_primes(n)
             for s in solve_characteristic(records):
-                cons = assemble_constraints(s, records, digit_count(n))
+                cons = assemble_constraints(s, tables_of(records, digit_count(n)))
                 if not cons.degenerate:
                     continue
                 window = math.lcm(*(cons.required | cons.excluded))

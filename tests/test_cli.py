@@ -8,18 +8,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 from report_reference import to_json_dict
 
-from vpal import analyze, cli, indicator, reverse_digits
+from vpal import analyze, characteristic, indicator, reverse_digits
 from vpal.cli import (
     EXIT_BUDGET,
     EXIT_DISAGREEMENT,
     EXIT_INVALID,
     EXIT_OK,
-    canonical_json,
     main,
+    render_report,
     report_json,
     table_json,
 )
@@ -41,25 +39,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# text that needs escaping: quotes, backslashes, control and non-ASCII characters
-_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té\u2028😀'), st.characters()))
-_json_values = st.recursive(
-    st.one_of(_text, st.booleans(), st.none(), st.integers()),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4), st.dictionaries(_text, children, max_size=4)
-    ),
-    max_leaves=20,
-)
-
-
-class TestCanonicalJson:
-    @given(_json_values)
-    @example({"": [], "a": {}, "b": [{}, [[]], [True, False, None, -7]]})
-    def test_matches_stdlib_indented_dump(self, obj):
-        assert canonical_json(obj) == json.dumps(obj, indent=2, ensure_ascii=False)
+#: sha256 of the pretty stdout of the 165-solution walkthrough and of the
+#: paper's table, recorded with the library at commit 9431f68
+PRETTY_SHA256 = {
+    ("analyze", "1308276133167003"): "f3595f2cfdaa960fbf49775ed99f37ee6266ea2722b89c6d0d362b004cdb510c",
+    ("table", "--preset", "paper"): "9644eedf88e68d4595e1a26f5e7f5d850e71ba4271c7c3a29787c78ac5a19be0",
+}
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("argv", list(PRETTY_SHA256), ids=["analyze-anchor", "table-preset"])
+    def test_pretty_output_pinned(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == PRETTY_SHA256[argv]
+
     def test_pretty_126(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "126")
         assert code == EXIT_OK
@@ -126,11 +120,16 @@ class TestAnalyze:
         assert doc["indicator"][0] == {"c": "37100", "lambda": "1"}
 
 
+def indented_dump(obj) -> str:
+    """The stdlib's indented JSON, the reference every direct writer matches."""
+    return json.dumps(obj, indent=2, ensure_ascii=False)
+
+
 def assert_matches_reference(report):
     """report_json against the nested dict of the assembled constraints."""
     text = report_json(report)
     reference = to_json_dict(report)
-    assert text == canonical_json(reference), report.n
+    assert text == indented_dump(reference), report.n
     assert json.loads(text) == reference, report.n
 
 
@@ -178,7 +177,8 @@ class TestReportJson:
         for argv in (["analyze", "126", "--json"], ["--format", "json", "table", "45", "107"]):
             assert run_cli(capsys, *argv)[0] == EXIT_OK
         # an unsolvable equation needs no constraint table
-        monkeypatch.setattr(cli, "constraint_table", refuse)
+        monkeypatch.setattr(indicator, "constraint_table", refuse)
+        _pipeline.cache_clear()
         code, out, _ = run_cli(capsys, "analyze", "16", "--json")
         assert code == EXIT_OK
         assert '"solutions": []' in out
@@ -188,11 +188,53 @@ class TestReportJson:
         ns = ["16", "12", "45", "126", "107"]
         reports = [analyze(int(n)) for n in ns]
         reference = [to_json_dict(r) for r in reports]
-        assert table_json(reports) == canonical_json(reference)
+        assert table_json(reports) == indented_dump(reference)
         code, out, _ = run_cli(capsys, "--format", "json", "table", *ns)
         assert code == EXIT_OK
         assert out == table_json(reports) + "\n"
         assert json.loads(out) == reference
+
+
+class TestTableReads:
+    """A report carries its constraint tables: the pipeline reads each crucial
+    prime's table once, and the walkthrough, the JSON writers and the
+    assembled constraints all index the report's tables."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        core = characteristic._constraint_table
+
+        def counted(*args):
+            calls.append(args)
+            return core(*args)
+
+        monkeypatch.setattr(characteristic, "_constraint_table", counted)
+        _pipeline.cache_clear()
+        return calls
+
+    # 12 has one degenerate solution, 45 shares pair objects between primes
+    @pytest.mark.parametrize("n", [126, 12, 45, 1308276133167003])
+    def test_one_read_per_crucial_prime(self, reads, n):
+        report = analyze(n)
+        render_report(report)
+        report_json(report)
+        table_json([report])
+        assert report.constraints
+        assert len(reads) == len(report.records)
+
+    def test_unsolvable_reads_none(self, reads, capsys):
+        for argv in (["analyze", "16"], ["analyze", "16", "--json"]):
+            _pipeline.cache_clear()
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == EXIT_OK
+        assert reads == []
+
+    def test_reports_stay_hashable(self):
+        report = analyze(126)
+        report.constraints
+        assert hash(report) == hash(analyze(126))
+        assert report == analyze(126)
 
 
 class TestVerify:

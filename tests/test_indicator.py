@@ -24,6 +24,7 @@ from vpal import (
     SolutionConstraints,
     analyze,
     assemble_constraints,
+    constraint_table,
     crucial_primes,
     digit_count,
     divisors,
@@ -48,9 +49,8 @@ I126 = IndicatorCombination(((154, 1), (3542, -1)))
 
 
 def constraints_for(n, index):
-    records = crucial_primes(n)
-    solutions = solve_characteristic(records)
-    return assemble_constraints(solutions[index], records, digit_count(n))
+    report = analyze(n)
+    return assemble_constraints(report.solutions[index], report.tables)
 
 
 class TestExpandSolution:
@@ -70,8 +70,6 @@ class TestExpandSolution:
             required=frozenset({2}),
             excluded=frozenset({14, 506}),
             degenerate=False,
-            pairs=cons.pairs,
-            cases=cons.cases,
         )
         assert expand_solution(synthetic).terms == ((2, 1), (14, -1), (506, -1), (3542, 1))
 
@@ -94,7 +92,7 @@ class TestExpandSolution:
     def test_matches_inclusion_exclusion_over_all_subsets(self, required, excluded):
         base = math.lcm(*required) if required else 1
         degenerate = any(base % b == 0 for b in excluded)
-        cons = SolutionConstraints((), required, excluded, degenerate, (), ())
+        cons = SolutionConstraints((), required, excluded, degenerate)
         if degenerate:
             with pytest.raises(ValueError):
                 expand_solution(cons)
@@ -264,9 +262,8 @@ class TestAnalyze:
         report = analyze(n)
         solutions = json.loads(report_json(report))["solutions"]
         assert len(solutions) > 1
-        assert any(
-            a == b for cons in report.constraints for a, b in combinations(cons.pairs, 2)
-        )
+        pairs = [[t[u][1] for t, u in zip(report.tables, s)] for s in report.solutions]
+        assert any(a == b for row in pairs for a, b in combinations(row, 2))
         for solution in solutions:
             assert [pair["p"] for pair in solution["pairs"]] == [str(r.p) for r in report.records]
 
@@ -281,10 +278,12 @@ class TestAnalyze:
         ]
         assert all(r == reports[0] for r in reports)
         assert _pipeline.cache_info().misses == 1
-        # the memo holds the solutions and the final quantities, no constraints
+        # the memo holds the solutions, the tables and the final quantities,
+        # no assembled constraints
         report = reports[0]
         assert _pipeline(_signature(report.records), report.digits, DEFAULT_BUDGET) == (
             report.solutions,
+            report.tables,
             report.combination,
             report.omega_f,
             report.omega_b,
@@ -361,12 +360,16 @@ class TestSharedPipeline:
 
 
 def _reference_pipeline(records, digits):
-    """The combination, omega_f and omega_b by assembling every solution:
-    the live ones are expanded and collected, and omega_b is the lcm of their
-    required and excluded moduli."""
-    constraints = [assemble_constraints(s, records, digits) for s in solve_characteristic(records)]
+    """The tables, the combination, omega_f and omega_b by assembling every
+    solution from each record's constraint table: the live ones are expanded
+    and collected, and omega_b is the lcm of their required and excluded
+    moduli.  An unsolvable equation reads no table."""
+    solutions = solve_characteristic(records)
+    tables = tuple(constraint_table(r.p, abs(r.delta), r.mu, digits) for r in records if solutions)
+    constraints = [assemble_constraints(s, tables) for s in solutions]
     live = [c for c in constraints if not c.degenerate]
     return (
+        tables,
         IndicatorCombination.collect(term for c in live for term in expand_solution(c).terms),
         math.lcm(*(repetition_order(r.p, 2, digits) for r in records if r.p not in (2, 5))),
         math.lcm(*(m for c in live for m in c.required | c.excluded)),
@@ -378,8 +381,9 @@ WALKTHROUGH_126_SHA256 = "8836c649211f768ad5f4b3bbddca71464d8edc8d2b6352afd2688f
 
 
 class TestLeanPipeline:
-    """_pipeline reads only what the combination and omega_b need; the full
-    constraints are assembled on a report's first read of them."""
+    """_pipeline reads the constraint tables and only what the combination
+    and omega_b need of them; the full constraints are assembled on a
+    report's first read of them."""
 
     def test_matches_assembling_every_solution(self):
         keys = {

@@ -479,7 +479,6 @@ class TestBudgetDefault:
         "repetition_order",
         "crucial_primes",
         "constraint_table",
-        "assemble_constraints",
         "analyze",
         "brute_force_flag",
         "verify",
