@@ -4,8 +4,8 @@ A prime whose exponent differs between n and its digit reversal contributes a
 small set of possible "balance weights" to an integer equation; each solution
 of that equation translates, prime by prime, into divisibility conditions on
 the repetition count.  This module builds the records, their case and
-constraint tables, solves the equation, and assembles a solution's constraint
-set from the tables it is given.
+constraint tables, solves the equation, and finds a solution's divisibility
+set and its least member (least_member) from the pairs it indexes.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
+from typing import Iterable
 
 from .numbers import DEFAULT_BUDGET, check_eligible, factorize, repetition_order, reverse_digits
 
@@ -205,13 +206,27 @@ def solve_characteristic(
     return tuple(out)
 
 
+def least_member(pairs: Iterable[ConstraintPair]) -> tuple[set[int], set[int], int | None]:
+    """The unions A and B of the pairs' required and excluded moduli, and the
+    least member of S(A, B): lcm(A), or None when some b in B divides lcm(A)."""
+    required, excluded = set(), set()
+    for pair in pairs:
+        required |= pair.required
+        excluded |= pair.excluded
+    base = math.lcm(*required)
+    for b in excluded:
+        if base % b == 0:
+            return required, excluded, None
+    return required, excluded, base
+
+
 @dataclass(frozen=True)
 class SolutionConstraints:
     """A characteristic solution (one weight per crucial prime) with its
     assembled divisibility constraints.
 
     degenerate means the constraint set is unsatisfiable: some excluded
-    modulus already divides the lcm of the required ones.
+    modulus already divides the lcm of the required ones (least_member).
     """
 
     solution: tuple[int, ...]
@@ -223,15 +238,12 @@ class SolutionConstraints:
 def assemble_constraints(
     solution: tuple[int, ...], tables: tuple[dict[int, tuple[CaseLabel, ConstraintPair]], ...]
 ) -> SolutionConstraints:
-    """Union the pairs that a solution's weights index in the constraint
-    tables of its crucial primes, one table per weight in record order, and
-    flag unsatisfiable solutions."""
-    pairs = [table[u][1] for table, u in zip(tables, solution, strict=True)]
-    required = frozenset().union(*(pair.required for pair in pairs))
-    excluded = frozenset().union(*(pair.excluded for pair in pairs))
-    base = math.lcm(*required)
-    degenerate = any(base % b == 0 for b in excluded)
-    return SolutionConstraints(solution, required, excluded, degenerate)
+    """The solution's divisibility set from the pairs its weights index in
+    the constraint tables of its crucial primes, one table per weight in
+    record order, as frozensets with a degenerate flag."""
+    pairs = (table[u][1] for table, u in zip(tables, solution, strict=True))
+    required, excluded, base = least_member(pairs)
+    return SolutionConstraints(solution, frozenset(required), frozenset(excluded), base is None)
 
 
 def in_divisibility_set(

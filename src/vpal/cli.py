@@ -17,6 +17,7 @@ import math
 import os
 import sys
 
+from .characteristic import least_member
 from .errors import BudgetExceeded, InvalidInput
 from .indicator import AnalysisReport, analyze
 from .numbers import DEFAULT_BUDGET
@@ -87,31 +88,28 @@ def report_json(report: AnalysisReport, newline: str = "\n") -> str:
 
     Each of the report's constraint tables is rendered once: for every weight
     u, the string "u", its case and its pair object.  A solution joins its
-    weights' fragments and reads its required and excluded moduli and its
-    degeneracy off the pairs, so the report never assembles its constraints.
+    weights' fragments and takes its moduli and degeneracy from least_member
+    on its weights' pairs, so the report never assembles its constraints.
     """
     i1, i2, i3, i4, i5 = (newline + "  " * k for k in range(1, 6))
-    fragments = []  # per crucial prime, weight u -> "u", case, required, excluded, pair object
+    fragments = []  # per crucial prime, weight u -> "u", case, pair object, ConstraintPair
     for r, table in zip(report.records, report.tables):
         fragments.append({})
         for u, (case, pair) in table.items():
             required, excluded = _strings(sorted(pair.required), i5), _strings(sorted(pair.excluded), i5)
             pair_json = _object({"p": f'"{r.p}"', "required": required, "excluded": excluded}, i4)
-            fragments[-1][u] = (f'"{u}"', f'"{case.value}"', pair.required, pair.excluded, pair_json)
+            fragments[-1][u] = (f'"{u}"', f'"{case.value}"', pair_json, pair)
     solutions = []
     for solution in report.solutions:
-        entries = [table[u] for table, u in zip(fragments, solution)]
-        values, cases, required, excluded, pairs = zip(*entries)
-        required = sorted(frozenset().union(*required))
-        excluded = sorted(frozenset().union(*excluded))
-        base = math.lcm(*required)
+        values, cases, pair_objects, pairs = zip(*[table[u] for table, u in zip(fragments, solution)])
+        required, excluded, base = least_member(pairs)
         solutions.append(_object({
             "values": _array(values, i3),
             "cases": _array(cases, i3),
-            "pairs": _array(pairs, i3),
-            "required": _strings(required, i3),
-            "excluded": _strings(excluded, i3),
-            "degenerate": "true" if any(base % b == 0 for b in excluded) else "false",
+            "pairs": _array(pair_objects, i3),
+            "required": _strings(sorted(required), i3),
+            "excluded": _strings(sorted(excluded), i3),
+            "degenerate": "true" if base is None else "false",
         }, i2))
     keys = ("p", "exp_n", "exp_reverse", "delta", "mu")
     records = [_object({k: f'"{getattr(r, k)}"' for k in keys}, i2) for r in report.records]
@@ -392,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full analysis report for one number")
-    p.set_defaults(handler=cmd_analyze)
+    p.set_defaults(handler=cmd_analyze, formats=("pretty", "json"))
     p.add_argument("n", type=int)
     p.add_argument(
         "--json",
@@ -404,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("verify", help="compare predictions against brute force")
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler=cmd_verify, formats=("pretty", "json", "csv"))
     p.add_argument("n", type=int)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--strict", action="store_true", help="exit 3 when any row is UNVERIFIED")
@@ -415,17 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("table", help="indicator/order/period table for several numbers")
-    p.set_defaults(handler=cmd_table)
+    p.set_defaults(handler=cmd_table, formats=("pretty", "json", "csv"))
     p.add_argument("numbers", type=int, nargs="*")
     p.add_argument("--preset", choices=("paper",), help="use the built-in 18-row list")
 
     p = sub.add_parser("search", help="scan for counterexample properties")
-    p.set_defaults(handler=cmd_search)
+    p.set_defaults(handler=cmd_search, formats=("pretty", "json"))
     p.add_argument("property", choices=[sp.value for sp in SearchProperty])
     p.add_argument("--until", type=int, required=True)
     p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("spectrum", help="root-of-unity spectrum utilities")
+    p.set_defaults(formats=("pretty",))
     spectrum_sub = p.add_subparsers(dest="spectrum_command", required=True)
     q = spectrum_sub.add_parser("periods", help="three period computations for a sample window")
     q.set_defaults(handler=cmd_spectrum_periods)
@@ -443,6 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format not in args.formats:
+        parser.error(f"argument --format: {args.command} prints {' or '.join(args.formats)}")
     if args.budget < 10_000:
         print("error: factor budget must be at least 10000", file=sys.stderr)
         return EXIT_INVALID

@@ -19,6 +19,7 @@ from .characteristic import (
     constraint_table,
     crucial_primes,
     in_divisibility_set,
+    least_member,
     solve_characteristic,
 )
 from .numbers import (
@@ -112,15 +113,15 @@ def evaluate(comb: IndicatorCombination, x: int) -> int:
 def expand_solution(constraints: SolutionConstraints | ConstraintPair) -> IndicatorCombination:
     """Indicator of the divisibility set of anything with required and
     excluded moduli, by inclusion-exclusion over the excluded ones on top of
-    the lcm base of the required ones; ValueError if an excluded one divides base.
+    its least member, base (least_member); ValueError if the set is empty.
 
     Multiplies out I_base * prod(1 - I_b) one excluded b at a time, merging
     terms with equal moduli as they appear."""
-    base = math.lcm(*constraints.required)
-    if any(base % b == 0 for b in constraints.excluded):
+    _, excluded, base = least_member((constraints,))
+    if base is None:
         raise ValueError("cannot expand a degenerate solution")
     terms = {base: 1}
-    for b in constraints.excluded:
+    for b in excluded:
         for modulus, coeff in list(terms.items()):
             merged = math.lcm(modulus, b)
             terms[merged] = terms.get(merged, 0) - coeff
@@ -178,8 +179,8 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
     _pipeline solves the characteristic equation, reads each crucial prime's
     constraint table, expands the nondegenerate solutions into the canonical
     combination and computes omega_f and omega_b; order and omega0 are read
-    off it.  Readers take each solution's cases and pairs from the report's
-    tables, and the report assembles its constraints on first read.
+    off it.  Readers index the report's tables and call least_member on a
+    solution's pairs; the report assembles its constraints on first read.
 
     The report itself is built afresh on every call.  The one memo of the
     pipeline is _pipeline's, keyed on the records with every sign flipped when the first
@@ -225,9 +226,9 @@ def _pipeline(
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[dict, ...], IndicatorCombination, int, int]:
     """The characteristic solutions, each crucial prime's constraint table
     (none without solutions), the combination of the nondegenerate solutions,
-    omega_f and omega_b, for crucial primes at a digit width; of each solution
-    it keeps only the lcm base of its required moduli and its excluded ones,
-    whose lcm over the nondegenerate solutions is omega_b.
+    omega_f and omega_b, for crucial primes at a digit width; least_member
+    gives each solution's moduli and least member, without assembling, and
+    omega_b is the lcm of the moduli of the solutions that have one.
 
     The one reader of constraint tables.  A table depends on p, |delta| and
     mu only, which _signature's sign flip keeps, so the tables are n's own.
@@ -238,16 +239,10 @@ def _pipeline(
         tables = tuple(constraint_table(r.p, abs(r.delta), r.mu, digits, budget) for r in records)
     terms, omega_b = [], 1
     for solution in solutions:
-        required, excluded = [], []
-        for table, u in zip(tables, solution):
-            pair = table[u][1]
-            required += pair.required
-            excluded += pair.excluded
-        base = math.lcm(*required)
-        if any(base % b == 0 for b in excluded):
-            continue
-        terms += expand_solution(ConstraintPair(frozenset((base,)), frozenset(excluded))).terms
-        omega_b = math.lcm(omega_b, base, *excluded)
+        required, excluded, base = least_member([table[u][1] for table, u in zip(tables, solution)])
+        if base is not None:
+            terms += expand_solution(ConstraintPair(frozenset(required), frozenset(excluded))).terms
+            omega_b = math.lcm(omega_b, base, *excluded)
     omega_f_parts = [repetition_order(r.p, 2, digits, budget) for r in records if r.p not in (2, 5)]
     return solutions, tables, IndicatorCombination.collect(terms), math.lcm(*omega_f_parts), omega_b
 

@@ -6,10 +6,13 @@ from itertools import combinations, product
 
 import pytest
 import sympy
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vpal import (
     DEFAULT_BUDGET,
     CaseLabel,
+    ConstraintPair,
     CrucialPrimeRecord,
     InvalidInput,
     assemble_constraints,
@@ -22,7 +25,7 @@ from vpal import (
     solve_characteristic,
     weight_range,
 )
-from vpal.characteristic import _constraint_table
+from vpal.characteristic import _constraint_table, least_member
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -312,6 +315,40 @@ class TestConstraintPairs:
             True,
             True,
         ]
+
+
+#: moduli built from 2, 3, 5 and 7, so every window lcm(A | B) stays below 2521
+_moduli = st.builds(
+    lambda a, b, c, d: 2**a * 3**b * 5**c * 7**d,
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.integers(0, 1),
+    st.integers(0, 1),
+)
+#: the vacuous and the always-false pair of the constraint tables of 2 and 5
+VACUOUS = ConstraintPair(frozenset(), frozenset())
+IMPOSSIBLE = ConstraintPair(frozenset(), frozenset({1}))
+_pairs = st.one_of(
+    st.builds(ConstraintPair, st.frozensets(_moduli, max_size=3), st.frozensets(_moduli, max_size=3)),
+    st.sampled_from([VACUOUS, IMPOSSIBLE]),
+)
+
+
+class TestLeastMember:
+    @given(st.lists(_pairs, min_size=1, max_size=4))
+    @example([VACUOUS])
+    @example([IMPOSSIBLE])
+    @example([VACUOUS, IMPOSSIBLE])
+    def test_base_is_the_least_member_by_window_scan(self, pairs):
+        required, excluded, base = least_member(pairs)
+        assert required == set().union(*(pair.required for pair in pairs))
+        assert excluded == set().union(*(pair.excluded for pair in pairs))
+        # S(A, B) repeats with period lcm(A | B), so one window holds its least member if any
+        window = math.lcm(*required, *excluded)
+        members = (k for k in range(1, window + 1) if in_divisibility_set(required, excluded, k))
+        assert base == next(members, None)
+        tables = tuple({0: (CaseLabel.I, pair)} for pair in pairs)
+        assert assemble_constraints((0,) * len(pairs), tables).degenerate == (base is None)
 
 
 class TestDivisibilitySets:

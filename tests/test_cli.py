@@ -441,15 +441,41 @@ class TestSpectrum:
 
 class TestConfig:
     @pytest.mark.parametrize(
-        "argv",
-        [("search", "conj1", "--until", "20", "--workers", "0"), ("--format", "xml", "analyze", "12")],
-        ids=["workers-0", "format-xml"],
+        "argv, named",
+        [
+            (("search", "conj1", "--until", "20", "--workers", "0"), "--workers"),
+            (("--format", "xml", "analyze", "12"), "'pretty', 'json', 'csv'"),
+            # a format the command does not print is refused, not ignored
+            (("--format", "csv", "analyze", "126"), "analyze prints pretty or json"),
+            (("--format", "csv", "search", "conj1", "--until", "200"), "search prints pretty or json"),
+            (("--format", "json", "spectrum", "periods", "--samples", "1,0"), "spectrum prints pretty"),
+            (("--format", "csv", "spectrum", "periods", "--samples", "1,0"), "spectrum prints pretty"),
+            (("--format", "json", "spectrum", "indicator", "6"), "spectrum prints pretty"),
+            (("--format", "csv", "spectrum", "indicator", "6"), "spectrum prints pretty"),
+            (("--format", "json", "spectrum", "of-indicator", "126"), "spectrum prints pretty"),
+            (("--format", "csv", "spectrum", "of-indicator", "126"), "spectrum prints pretty"),
+        ],
+        ids=[
+            "workers-0",
+            "format-xml",
+            "csv-analyze",
+            "csv-search",
+            "json-spectrum-periods",
+            "csv-spectrum-periods",
+            "json-spectrum-indicator",
+            "csv-spectrum-indicator",
+            "json-spectrum-of-indicator",
+            "csv-spectrum-of-indicator",
+        ],
     )
-    def test_argparse_rejects(self, capsys, argv):
+    def test_argparse_rejects(self, capsys, argv, named):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert len(errors) == 1 and named in errors[0], err
 
     def test_budget_flag_below_floor_rejected(self, capsys):
         code, out, err = run_cli(capsys, "--budget", "100", "analyze", "12")
