@@ -508,19 +508,35 @@ def repetition_order(p: int, alpha: int, digits: int, budget: int = DEFAULT_BUDG
     the repetition number for count k (at this digit width) gains p-adic order
     at least alpha exactly when t divides k.  Always > 1, because by choice of
     e0 the base is not congruent to 1 at the target power of p.
+
+    Computed by lifting the exponent.  With t1 the order of 10**digits modulo
+    p, K = alpha + e0 (e0 > 0 only when t1 = 1) and e1 the p-adic order of
+    10**(digits * t1) - 1 capped at K, the order is t1 * p**(K - e1): for odd
+    p, v_p(10**(digits * t1 * m) - 1) = e1 + v_p(m).  The order of 10 modulo
+    p is found once per prime, so only p - 1 is ever factored.
     """
     return _repetition_order(p, alpha, digits, budget)
 
 
-@lru_cache(maxsize=1 << 16)
-def _repetition_order(p: int, alpha: int, digits: int, budget: int) -> int:
+@lru_cache(maxsize=1 << 14)
+def _order_of_ten(p: int, budget: int) -> int:
+    # one primality proof and one factoring of p - 1 per prime
     if p in (2, 5) or not _isprime(p):
         raise ValueError(f"repetition_order requires a prime other than 2 and 5, got {p}")
+    return multiplicative_order(10, p, budget)
+
+
+@lru_cache(maxsize=1 << 16)
+def _repetition_order(p: int, alpha: int, digits: int, budget: int) -> int:
+    t = _order_of_ten(p, budget)
     if alpha < 1 or digits < 1:
         raise ValueError("repetition_order requires alpha >= 1 and digits >= 1")
-    e0 = padic_order(10**digits - 1, p)
-    modulus = p ** (alpha + e0)
-    return multiplicative_order(pow(10, digits, modulus), modulus, budget)
+    t1 = t // math.gcd(t, digits)
+    modulus = p ** (alpha + padic_order(10**digits - 1, p))
+    r = pow(10, digits * t1, modulus) - 1
+    order = t1 * (modulus // math.gcd(r, modulus))  # gcd is p**e1, also for r = 0
+    assert pow(10, digits * order, modulus) == 1
+    return order
 
 
 def divisors(n: int) -> list[int]:

@@ -39,6 +39,7 @@ from vpal.numbers import (
     _MR_BOUND,
     _TRIAL_LIMIT,
     _isprime,
+    _order_of_ten,
     _repetition_factorization,
     _repetition_order,
     _strong_lucas_probable_prime,
@@ -434,9 +435,16 @@ class TestRepetitionOrder:
         assert repetition_order(7, 1, 3) == 2
 
     def test_rejects_bad_primes(self):
-        for p in (2, 5, 9):
+        # 10007 * 10009 is a composite above _TRIAL_LIMIT**2: it reaches the
+        # strong probable-prime test rather than the table of small primes
+        for p in (2, 5, 9, 1, 0, -7, 10007 * 10009):
             with pytest.raises(ValueError, match="prime other than 2 and 5"):
                 repetition_order(p, 1, 2)
+
+    @pytest.mark.parametrize("alpha, digits", [(0, 2), (-1, 2), (1, 0), (2, -3)])
+    def test_rejects_bad_alpha_and_width(self, alpha, digits):
+        with pytest.raises(ValueError, match="alpha >= 1 and digits >= 1"):
+            repetition_order(7, alpha, digits)
 
     def test_every_spelling_is_one_memo_entry(self):
         _repetition_order.cache_clear()
@@ -445,6 +453,53 @@ class TestRepetitionOrder:
         repetition_order(7, 1, 2, budget=DEFAULT_BUDGET)
         info = _repetition_order.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_order_of_ten_is_found_once_per_prime(self):
+        _repetition_order.cache_clear()
+        _order_of_ten.cache_clear()
+        for alpha in (1, 2, 3):
+            for d in range(1, 7):
+                repetition_order(10007, alpha, d)
+        assert _repetition_order.cache_info().misses == 18
+        assert _order_of_ten.cache_info().misses == 1
+
+    @staticmethod
+    def assert_lifted_orders(primes):
+        """The lifted-exponent order equals the order found by stripping the
+        prime factors of phi(p**K), for every width d <= 6 and alpha <= 3."""
+        for p in primes:
+            for d in range(1, 7):
+                e0 = padic_order(10**d - 1, p)
+                for alpha in (1, 2, 3):
+                    modulus = p ** (alpha + e0)
+                    expected = multiplicative_order(pow(10, d, modulus), modulus)
+                    assert repetition_order(p, alpha, d) == expected, (p, alpha, d)
+
+    def test_lifted_orders_every_prime_below_10_4(self):
+        self.assert_lifted_orders(p for p in range(3, 10**4) if p != 5 and sympy.isprime(p))
+
+    def test_lifted_orders_random_large_primes(self):
+        rng = random.Random(2210)
+        primes = set()
+        while len(primes) < 300:
+            p = rng.randrange(10**6, 10**13)
+            if sympy.isprime(p):
+                primes.add(p)
+        self.assert_lifted_orders(sorted(primes))
+
+    @pytest.mark.parametrize(
+        "p, orders",
+        [
+            (3, (3, 9, 27)),
+            (487, (486, 486, 486 * 487)),
+            (56598313, (56598312, 56598312, 56598312 * 56598313)),
+        ],
+    )
+    def test_lifted_orders_wieferich_primes(self, p, orders):
+        # base-10 Wieferich primes: p**2 divides 10**(p - 1) - 1, so e1 >= 2
+        assert pow(10, p - 1, p * p) == 1
+        self.assert_lifted_orders([p])
+        assert tuple(repetition_order(p, alpha, 1) for alpha in (1, 2, 3)) == orders
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_properties_up_to_100(self, d):
