@@ -435,8 +435,8 @@ class TestRepetitionOrder:
         assert repetition_order(7, 1, 3) == 2
 
     def test_rejects_bad_primes(self):
-        # 10007 * 10009 is a composite above _TRIAL_LIMIT**2: it reaches the
-        # strong probable-prime test rather than the table of small primes
+        # 10007 * 10009 has no prime factor below 137, so _isprime decides it
+        # by the strong probable-prime test, not by the table of small primes
         for p in (2, 5, 9, 1, 0, -7, 10007 * 10009):
             with pytest.raises(ValueError, match="prime other than 2 and 5"):
                 repetition_order(p, 1, 2)
@@ -476,7 +476,7 @@ class TestRepetitionOrder:
                     assert repetition_order(p, alpha, d) == expected, (p, alpha, d)
 
     def test_lifted_orders_every_prime_below_10_4(self):
-        self.assert_lifted_orders(p for p in range(3, 10**4) if p != 5 and sympy.isprime(p))
+        self.assert_lifted_orders(p for p in sympy.primerange(3, 10**4) if p != 5)
 
     def test_lifted_orders_random_large_primes(self):
         rng = random.Random(2210)
