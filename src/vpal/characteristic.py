@@ -142,8 +142,8 @@ def constraint_table(
     combinations, always false (nothing required, 1 excluded).
 
     The table may compute an order for a weight that no solution uses.  That
-    never adds a BudgetExceeded: repetition_order factors only p - 1, once
-    per prime, and analyze needs that order anyway when it computes omega_f.
+    never adds a BudgetExceeded: repetition_order factors the prime p and
+    p - 1 once per prime, and analyze needs that order anyway for omega_f.
     """
     return _constraint_table(p, delta, mu, digits, budget)
 

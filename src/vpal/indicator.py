@@ -112,16 +112,12 @@ def evaluate(comb: IndicatorCombination, x: int) -> int:
 
 def expand_solution(constraints: SolutionConstraints | ConstraintPair) -> IndicatorCombination:
     """Indicator of the divisibility set of anything with required and
-    excluded moduli, by inclusion-exclusion over the excluded ones on top of
-    its least member, base (least_member); ValueError if the set is empty.
-
-    Multiplies out I_base * prod(1 - I_b) one excluded b at a time, merging
-    terms with equal moduli as they appear."""
-    _, excluded, base = least_member((constraints,))
-    if base is None:
-        raise ValueError("cannot expand a degenerate solution")
-    terms = {base: 1}
-    for b in excluded:
+    excluded moduli: I_lcm * prod(1 - I_b), lcm that of the required ones,
+    multiplied out one excluded b at a time, merging terms with equal moduli
+    as they appear.  An empty set, where some b divides the lcm, comes out as
+    the zero combination, since then I_lcm * (1 - I_b) = 0."""
+    terms = {math.lcm(*constraints.required): 1}
+    for b in constraints.excluded:
         for modulus, coeff in list(terms.items()):
             merged = math.lcm(modulus, b)
             terms[merged] = terms.get(merged, 0) - coeff

@@ -272,10 +272,10 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     find smooth parts of integers", 2004).  A composite survivor that is a
     perfect power r**k is replaced by its root r, counted k times, at no cost
     in budget; Brent's method runs only on survivors that are not perfect
-    powers.  Every emitted prime is certified by _isprime: a proof below
+    powers.  Primes below 10**8 are proved by the trial division, larger
+    ones by _isprime, the package's one primality check: a proof below
     3.3*10**24 (strong probable-prime tests on bases known to suffice there),
-    a strong BPSW test above, as sympy's isprime decides; no composite is
-    known to pass strong BPSW.
+    a strong BPSW test above, which no known composite passes.
     Raises BudgetExceeded when a cofactor that is not a perfect power resists
     within the iteration budget; the caller decides whether that means
     "skip", never "assume prime".
@@ -513,15 +513,16 @@ def repetition_order(p: int, alpha: int, digits: int, budget: int = DEFAULT_BUDG
     p, K = alpha + e0 (e0 > 0 only when t1 = 1) and e1 the p-adic order of
     10**(digits * t1) - 1 capped at K, the order is t1 * p**(K - e1): for odd
     p, v_p(10**(digits * t1 * m) - 1) = e1 + v_p(m).  The order of 10 modulo
-    p is found once per prime, so only p - 1 is ever factored.
+    p is found once per prime by factoring p and p - 1, so a composite p
+    that resists factoring raises BudgetExceeded rather than ValueError.
     """
     return _repetition_order(p, alpha, digits, budget)
 
 
 @lru_cache(maxsize=1 << 14)
 def _order_of_ten(p: int, budget: int) -> int:
-    # one primality proof and one factoring of p - 1 per prime
-    if p in (2, 5) or not _isprime(p):
+    # p is checked by its factorization, which multiplicative_order reads from the memo
+    if p < 2 or p in (2, 5) or factorize(p, budget).factors != ((p, 1),):
         raise ValueError(f"repetition_order requires a prime other than 2 and 5, got {p}")
     return multiplicative_order(10, p, budget)
 

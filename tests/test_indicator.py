@@ -73,15 +73,16 @@ class TestExpandSolution:
         )
         assert expand_solution(synthetic).terms == ((2, 1), (14, -1), (506, -1), (3542, 1))
 
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            expand_solution(constraints_for(126, 0))
+    def test_degenerate_is_zero_combination(self):
+        cons = constraints_for(126, 0)
+        assert cons.degenerate
+        assert expand_solution(cons) == IndicatorCombination(())
 
     def test_takes_any_required_and_excluded_moduli(self):
-        # degeneracy is read off the moduli by the lcm check, not off a flag
+        # an empty set comes out of the moduli themselves, not off a flag
         assert expand_solution(ConstraintPair(frozenset({154}), frozenset({506}))) == I126
-        with pytest.raises(ValueError):
-            expand_solution(ConstraintPair(frozenset({14, 22}), frozenset({7})))
+        zero = expand_solution(ConstraintPair(frozenset({14, 22}), frozenset({7})))
+        assert zero == IndicatorCombination(())
 
     # products of 2, 3, 5, 7 with at most three factors: many moduli divide
     # one another or share an lcm with the base
@@ -90,13 +91,10 @@ class TestExpandSolution:
     @given(st.frozensets(_moduli, max_size=3), st.frozensets(_moduli, max_size=7))
     @settings(max_examples=300)
     def test_matches_inclusion_exclusion_over_all_subsets(self, required, excluded):
-        base = math.lcm(*required) if required else 1
+        # degenerate inputs included: their reference sums to the zero combination
+        base = math.lcm(*required)
         degenerate = any(base % b == 0 for b in excluded)
         cons = SolutionConstraints((), required, excluded, degenerate)
-        if degenerate:
-            with pytest.raises(ValueError):
-                expand_solution(cons)
-            return
         reference = IndicatorCombination.collect(
             (math.lcm(base, *subset), (-1) ** r)
             for r in range(len(excluded) + 1)

@@ -1,5 +1,6 @@
 """Integer primitives: reversal, factoring, factorization sums, repetition."""
 
+import collections
 import inspect
 import math
 import pickle
@@ -35,9 +36,12 @@ from vpal import (
     repetition_order,
     reverse_digits,
 )
+from vpal.characteristic import _constraint_table
+from vpal.indicator import _pipeline
 from vpal.numbers import (
     _MR_BOUND,
     _TRIAL_LIMIT,
+    _factorize_cached,
     _isprime,
     _order_of_ten,
     _repetition_factorization,
@@ -435,11 +439,16 @@ class TestRepetitionOrder:
         assert repetition_order(7, 1, 3) == 2
 
     def test_rejects_bad_primes(self):
-        # 10007 * 10009 has no prime factor below 137, so _isprime decides it
-        # by the strong probable-prime test, not by the table of small primes
-        for p in (2, 5, 9, 1, 0, -7, 10007 * 10009):
+        # p is checked by factoring it: 4, 9 and 25 fall to trial division,
+        # 10007 * 10009 to Brent's method and 10007**2 to root extraction
+        for p in (2, 5, 9, 1, 0, -7, 4, 25, 10007 * 10009, 10007**2):
             with pytest.raises(ValueError, match="prime other than 2 and 5"):
                 repetition_order(p, 1, 2)
+
+    def test_hard_composite_exhausts_the_budget(self):
+        # p is checked by factoring it, so a composite that resists is a budget failure
+        with pytest.raises(BudgetExceeded):
+            repetition_order(10007 * 10009, 1, 2, budget=1)
 
     @pytest.mark.parametrize("alpha, digits", [(0, 2), (-1, 2), (1, 0), (2, -3)])
     def test_rejects_bad_alpha_and_width(self, alpha, digits):
@@ -457,11 +466,34 @@ class TestRepetitionOrder:
     def test_order_of_ten_is_found_once_per_prime(self):
         _repetition_order.cache_clear()
         _order_of_ten.cache_clear()
+        _factorize_cached.cache_clear()
         for alpha in (1, 2, 3):
             for d in range(1, 7):
                 repetition_order(10007, alpha, d)
         assert _repetition_order.cache_info().misses == 18
         assert _order_of_ten.cache_info().misses == 1
+        # 10007 and 10006 are factored once each: multiplicative_order reads
+        # the factorization of 10007 that checked it from the memo
+        info = _factorize_cached.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+    def test_cold_analyze_proves_each_prime_once(self, monkeypatch):
+        # 1000000007 and its reversal 7000000001 are both prime, so both are
+        # crucial primes above 10**8, proved by _isprime when n and rev(n) are
+        # factored; their repetition orders read those factorizations back
+        for memo in (_factorize_cached, _order_of_ten, _repetition_order, _constraint_table, _pipeline):
+            memo.cache_clear()
+        proved = collections.Counter()
+
+        def counted(m):
+            proved[m] += 1
+            return _isprime(m)
+
+        monkeypatch.setattr(vpal.numbers, "_isprime", counted)
+        report = analyze(1000000007)
+        assert [r.p for r in report.records] == [1000000007, 7000000001]
+        assert proved[1000000007] == proved[7000000001] == 1
+        assert max(proved.values()) == 1, proved
 
     @staticmethod
     def assert_lifted_orders(primes):
