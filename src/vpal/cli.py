@@ -369,7 +369,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Command:
+    """A command's parser, built only when argparse dispatches to it, so each
+    command builds only the parser it runs.  It keeps the keywords of `add_parser`
+    and the function that adds the command's arguments; help comes from the action."""
+
+    def __init__(self, configure, **kwargs):
+        self._configure, self._kwargs = configure, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._configure(parser)
+        return parser.parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The `vpal` parser: each command builds only the parser it runs (`_Command`)."""
     parser = argparse.ArgumentParser(
         prog="vpal",
         description="Decide which repeated digit concatenations of a number "
@@ -387,55 +402,66 @@ def build_parser() -> argparse.ArgumentParser:
         default="pretty",
         help="output format",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    add = parser.add_subparsers(dest="command", required=True, parser_class=_Command).add_parser
 
-    p = sub.add_parser("analyze", help="full analysis report for one number")
-    p.set_defaults(handler=cmd_analyze, formats=("pretty", "json"))
-    p.add_argument("n", type=int)
-    p.add_argument(
-        "--json",
-        action="store_const",
-        dest="format",
-        const="json",
-        default=argparse.SUPPRESS,
-        help="shorthand for --format json",
-    )
+    def analyze_args(p):
+        p.set_defaults(handler=cmd_analyze, formats=("pretty", "json"))
+        p.add_argument("n", type=int)
+        p.add_argument(
+            "--json",
+            action="store_const",
+            dest="format",
+            const="json",
+            default=argparse.SUPPRESS,
+            help="shorthand for --format json",
+        )
 
-    p = sub.add_parser("verify", help="compare predictions against brute force")
-    p.set_defaults(handler=cmd_verify, formats=("pretty", "json", "csv"))
-    p.add_argument("n", type=int)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--strict", action="store_true", help="exit 3 when any row is UNVERIFIED")
-    p.add_argument(
-        "--accelerated",
-        action="store_true",
-        help="factor base, reversal, and repetition number separately",
-    )
+    def verify_args(p):
+        p.set_defaults(handler=cmd_verify, formats=("pretty", "json", "csv"))
+        p.add_argument("n", type=int)
+        p.add_argument("--kmax", type=int, required=True)
+        p.add_argument("--strict", action="store_true", help="exit 3 when any row is UNVERIFIED")
+        p.add_argument(
+            "--accelerated",
+            action="store_true",
+            help="factor base, reversal, and repetition number separately",
+        )
 
-    p = sub.add_parser("table", help="indicator/order/period table for several numbers")
-    p.set_defaults(handler=cmd_table, formats=("pretty", "json", "csv"))
-    p.add_argument("numbers", type=int, nargs="*")
-    p.add_argument("--preset", choices=("paper",), help="use the built-in 18-row list")
+    def table_args(p):
+        p.set_defaults(handler=cmd_table, formats=("pretty", "json", "csv"))
+        p.add_argument("numbers", type=int, nargs="*")
+        p.add_argument("--preset", choices=("paper",), help="use the built-in 18-row list")
 
-    p = sub.add_parser("search", help="scan for counterexample properties")
-    p.set_defaults(handler=cmd_search, formats=("pretty", "json"))
-    p.add_argument("property", choices=[sp.value for sp in SearchProperty])
-    p.add_argument("--until", type=int, required=True)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    def search_args(p):
+        p.set_defaults(handler=cmd_search, formats=("pretty", "json"))
+        p.add_argument("property", choices=[sp.value for sp in SearchProperty])
+        p.add_argument("--until", type=int, required=True)
+        p.add_argument("--workers", type=_positive_int, default=1)
 
-    p = sub.add_parser("spectrum", help="root-of-unity spectrum utilities")
-    p.set_defaults(formats=("pretty",))
-    spectrum_sub = p.add_subparsers(dest="spectrum_command", required=True)
-    q = spectrum_sub.add_parser("periods", help="three period computations for a sample window")
-    q.set_defaults(handler=cmd_spectrum_periods)
-    q.add_argument("--samples", required=True, help="comma-separated values, e.g. 1,0,1,0")
-    q = spectrum_sub.add_parser("indicator", help="spectrum of a single divisibility indicator")
-    q.set_defaults(handler=cmd_spectrum_indicator)
-    q.add_argument("a", type=int)
-    q = spectrum_sub.add_parser("of-indicator", help="spectral view of a number's indicator")
-    q.set_defaults(handler=cmd_spectrum_of_indicator)
-    q.add_argument("n", type=int)
+    def spectrum_args(p):
+        p.set_defaults(formats=("pretty",))
+        add = p.add_subparsers(dest="spectrum_command", required=True, parser_class=_Command).add_parser
+        add("periods", configure=periods_args, help="three period computations for a sample window")
+        add("indicator", configure=indicator_args, help="spectrum of a single divisibility indicator")
+        add("of-indicator", configure=of_indicator_args, help="spectral view of a number's indicator")
 
+    def periods_args(p):
+        p.set_defaults(handler=cmd_spectrum_periods)
+        p.add_argument("--samples", required=True, help="comma-separated values, e.g. 1,0,1,0")
+
+    def indicator_args(p):
+        p.set_defaults(handler=cmd_spectrum_indicator)
+        p.add_argument("a", type=int)
+
+    def of_indicator_args(p):
+        p.set_defaults(handler=cmd_spectrum_of_indicator)
+        p.add_argument("n", type=int)
+
+    add("analyze", configure=analyze_args, help="full analysis report for one number")
+    add("verify", configure=verify_args, help="compare predictions against brute force")
+    add("table", configure=table_args, help="indicator/order/period table for several numbers")
+    add("search", configure=search_args, help="scan for counterexample properties")
+    add("spectrum", configure=spectrum_args, help="root-of-unity spectrum utilities")
     return parser
 
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: rendering, formats, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -7,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import cli_reference
 import pytest
 from report_reference import to_json_dict
 
-from vpal import analyze, characteristic, indicator, reverse_digits
+from vpal import analyze, characteristic, cli, indicator, reverse_digits
 from vpal.cli import (
     EXIT_BUDGET,
     EXIT_DISAGREEMENT,
@@ -44,6 +46,35 @@ def run_cli(capsys, *argv):
 PRETTY_SHA256 = {
     ("analyze", "1308276133167003"): "f3595f2cfdaa960fbf49775ed99f37ee6266ea2722b89c6d0d362b004cdb510c",
     ("table", "--preset", "paper"): "9644eedf88e68d4595e1a26f5e7f5d850e71ba4271c7c3a29787c78ac5a19be0",
+}
+
+
+#: argv that argparse or main's format check rejects, each with a fragment of
+#: its one error line
+ARGPARSE_REJECTS = {
+    "workers-0": (("search", "conj1", "--until", "20", "--workers", "0"), "--workers"),
+    "format-xml": (("--format", "xml", "analyze", "12"), "'pretty', 'json', 'csv'"),
+    # a format the command does not print is refused, not ignored
+    "csv-analyze": (("--format", "csv", "analyze", "126"), "analyze prints pretty or json"),
+    "csv-search": (("--format", "csv", "search", "conj1", "--until", "200"), "search prints pretty or json"),
+    "json-spectrum-periods": (
+        ("--format", "json", "spectrum", "periods", "--samples", "1,0"), "spectrum prints pretty"
+    ),
+    "csv-spectrum-periods": (
+        ("--format", "csv", "spectrum", "periods", "--samples", "1,0"), "spectrum prints pretty"
+    ),
+    "json-spectrum-indicator": (
+        ("--format", "json", "spectrum", "indicator", "6"), "spectrum prints pretty"
+    ),
+    "csv-spectrum-indicator": (
+        ("--format", "csv", "spectrum", "indicator", "6"), "spectrum prints pretty"
+    ),
+    "json-spectrum-of-indicator": (
+        ("--format", "json", "spectrum", "of-indicator", "126"), "spectrum prints pretty"
+    ),
+    "csv-spectrum-of-indicator": (
+        ("--format", "csv", "spectrum", "of-indicator", "126"), "spectrum prints pretty"
+    ),
 }
 
 
@@ -440,34 +471,7 @@ class TestSpectrum:
 
 
 class TestConfig:
-    @pytest.mark.parametrize(
-        "argv, named",
-        [
-            (("search", "conj1", "--until", "20", "--workers", "0"), "--workers"),
-            (("--format", "xml", "analyze", "12"), "'pretty', 'json', 'csv'"),
-            # a format the command does not print is refused, not ignored
-            (("--format", "csv", "analyze", "126"), "analyze prints pretty or json"),
-            (("--format", "csv", "search", "conj1", "--until", "200"), "search prints pretty or json"),
-            (("--format", "json", "spectrum", "periods", "--samples", "1,0"), "spectrum prints pretty"),
-            (("--format", "csv", "spectrum", "periods", "--samples", "1,0"), "spectrum prints pretty"),
-            (("--format", "json", "spectrum", "indicator", "6"), "spectrum prints pretty"),
-            (("--format", "csv", "spectrum", "indicator", "6"), "spectrum prints pretty"),
-            (("--format", "json", "spectrum", "of-indicator", "126"), "spectrum prints pretty"),
-            (("--format", "csv", "spectrum", "of-indicator", "126"), "spectrum prints pretty"),
-        ],
-        ids=[
-            "workers-0",
-            "format-xml",
-            "csv-analyze",
-            "csv-search",
-            "json-spectrum-periods",
-            "csv-spectrum-periods",
-            "json-spectrum-indicator",
-            "csv-spectrum-indicator",
-            "json-spectrum-of-indicator",
-            "csv-spectrum-of-indicator",
-        ],
-    )
+    @pytest.mark.parametrize("argv, named", list(ARGPARSE_REJECTS.values()), ids=list(ARGPARSE_REJECTS))
     def test_argparse_rejects(self, capsys, argv, named):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -483,6 +487,90 @@ class TestConfig:
         assert out == ""
         assert "at least 10000" in err
 
+
+
+#: argv whose help or usage error, exit code and output the eager reference
+#: parser must give too: help at every level, a missing or unknown command,
+#: a global option after the command, a missing required option, a bad int
+PARSER_CORPUS = [
+    ("-h",),
+    *[(command, "-h") for command in ("analyze", "verify", "table", "search", "spectrum")],
+    *[("spectrum", command, "-h") for command in ("periods", "indicator", "of-indicator")],
+    (),
+    ("frobnicate",),
+    ("spectrum",),
+    ("analyze", "126", "--budget", "20000"),
+    ("verify", "48"),
+    ("analyze", "x"),
+    *[argv for argv, _ in ARGPARSE_REJECTS.values()],
+]
+
+#: argv that parse, each through a different command or option
+VALID_ARGV = [
+    ("analyze", "126"),
+    ("analyze", "126", "--json"),
+    ("--budget", "20000", "--format", "json", "analyze", "126"),
+    ("verify", "48", "--kmax", "5", "--strict", "--accelerated"),
+    ("--format", "csv", "verify", "48", "--kmax", "5"),
+    ("table", "--preset", "paper"),
+    ("table", "13", "17"),
+    ("table",),
+    ("search", "omegab", "--until", "6000", "--workers", "2"),
+    ("spectrum", "periods", "--samples=1,0"),
+    ("spectrum", "indicator", "6"),
+    ("spectrum", "of-indicator", "126"),
+    ("--format", "csv", "spectrum", "indicator", "6"),
+]
+
+
+class TestParser:
+    """Each command builds only the parser it runs, and acts like the eager
+    reference parser that builds them all."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "no-command")
+    def test_help_and_errors_match_the_eager_parser(self, capsys, monkeypatch, argv):
+        lazy = self.outcome(capsys, argv)
+        monkeypatch.setattr(cli, "build_parser", cli_reference.build_parser)
+        assert lazy == self.outcome(capsys, argv)
+        code, out, err = lazy
+        assert (code, bool(out), bool(err)) in ((EXIT_OK, True, False), (EXIT_INVALID, False, True))
+
+    @pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+    def test_namespace_matches_the_eager_parser(self, argv):
+        assert cli.build_parser().parse_args(argv) == cli_reference.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argvs, progs",
+        [
+            ([("analyze", "126", "--json")], ["vpal", "vpal analyze"]),
+            ([("--format", "json", "verify", "48", "--kmax", "5", "--accelerated")], ["vpal", "vpal verify"]),
+            ([("spectrum", "periods", "--samples=1,0")], ["vpal", "vpal spectrum", "vpal spectrum periods"]),
+            # nothing is kept between calls
+            ([("analyze", "126", "--json")] * 2, ["vpal", "vpal analyze"] * 2),
+        ],
+        ids=["analyze", "verify", "spectrum-periods", "two-calls"],
+    )
+    def test_parsers_built_per_call(self, capsys, monkeypatch, argvs, progs):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in argvs:
+            assert main(list(argv)) == EXIT_OK
+        capsys.readouterr()
+        assert built == progs
 
 
 class TestProcess:
