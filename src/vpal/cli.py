@@ -440,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def spectrum_args(p):
         p.set_defaults(formats=("pretty",))
-        add = p.add_subparsers(dest="spectrum_command", required=True, parser_class=_Command).add_parser
-        add("periods", configure=periods_args, help="three period computations for a sample window")
-        add("indicator", configure=indicator_args, help="spectrum of a single divisibility indicator")
-        add("of-indicator", configure=of_indicator_args, help="spectral view of a number's indicator")
+        sub = p.add_subparsers(dest="spectrum_command", required=True, parser_class=_Command).add_parser
+        sub("periods", configure=periods_args, help="three period computations for a sample window")
+        sub("indicator", configure=indicator_args, help="spectrum of a single divisibility indicator")
+        sub("of-indicator", configure=of_indicator_args, help="spectral view of a number's indicator")
 
     def periods_args(p):
         p.set_defaults(handler=cmd_spectrum_periods)
