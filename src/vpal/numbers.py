@@ -272,7 +272,11 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     find smooth parts of integers", 2004).  A composite survivor that is a
     perfect power r**k is replaced by its root r, counted k times, at no cost
     in budget; Brent's method runs only on survivors that are not perfect
-    powers.  Primes below 10**8 are proved by the trial division, larger
+    powers.  That split is memoized on the survivor, not on n, so a
+    concatenation N = n * R_k and its reversal rev(n) * R_k, and every
+    concatenation with the same repetition cofactor, split it once.  Trial
+    division spends no budget, so the budget still meters each factorization
+    as before.  Primes below 10**8 are proved by the trial division, larger
     ones by _isprime, the package's one primality check: a proof below
     3.3*10**24 (strong probable-prime tests on bases known to suffice there),
     a strong BPSW test above, which no known composite passes.
@@ -308,13 +312,31 @@ def _factorize_cached(n: int, budget: int) -> Factorization | BudgetExceeded:
                 g //= p
                 if g == 1:
                     break
-    tracker = _Budget(n, budget)
+    # trial division stops early only at a run whose least prime squared
+    # exceeds what is left: survivors below _TRIAL_LIMIT squared are 1 or prime
+    if rem >= _TRIAL_LIMIT * _TRIAL_LIMIT:
+        rest = _factorize_survivor(rem, budget)
+        if isinstance(rest, BudgetExceeded):
+            return rest
+        counts.update(rest.factors)  # primes above _TRIAL_LIMIT, new to counts
+    elif rem > 1:
+        counts[rem] = 1
+    return Factorization(tuple(sorted(counts.items())))
+
+
+@lru_cache(maxsize=1 << 15)
+def _factorize_survivor(rem: int, budget: int) -> Factorization | BudgetExceeded:
+    # keyed on what trial division leaves, so N and rev(N) = rev(n) * R_k,
+    # which share the cofactor of R_k, split it once; trial division spends
+    # no budget, so rem's tracker spends exactly what n's would
+    counts: dict[int, int] = {}
+    tracker = _Budget(rem, budget)
     # (cofactor, multiplicity) pairs: a root r of r**k stands for k factors
-    stack = [(rem, 1)] if rem > 1 else []
+    stack = [(rem, 1)]
     while stack:
         m, mult = stack.pop()
-        # trial division stops early only at a run whose least prime squared
-        # exceeds what is left: survivors below _TRIAL_LIMIT squared are prime
+        # no factor of rem has a prime factor below _TRIAL_LIMIT, so any
+        # factor below _TRIAL_LIMIT squared is prime
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or _isprime(m):
             counts[m] = counts.get(m, 0) + mult
             continue

@@ -4,8 +4,10 @@ indicator pipeline.
 brute_force_flag alone stays independent of the pipeline: it shares only
 numbers (the integer primitives and the eligibility check), so agreement
 between the two is evidence, not tautology.  Direct mode builds the
-concatenated integer and its digit reversal and factors both; accelerated mode
-merges the factorizations of n, its reversal and the repetition number.
+concatenated integer and its digit reversal and factors both; factorize
+memoizes the split of what trial division leaves, so the two, and every
+concatenation with the same repetition cofactor, split it once.  Accelerated
+mode merges the factorizations of n, its reversal and the repetition number.
 verify, cross_check and search_iter read the pipeline's analyze.
 """
 
@@ -55,7 +57,10 @@ def brute_force_flag(
     """Decide the k-fold concatenation of n by explicit construction.
 
     Direct mode builds the digit string, reverses it as a string, and factors
-    both integers from scratch.  Accelerated mode factors n, its reversal, and
+    both integers; both leave the same cofactor of the repetition number after
+    trial division, whose split factorize memoizes, so it is split once here
+    and for every n of the same width below 10^4 (the budget still meters
+    each factorization as before).  Accelerated mode factors n, its reversal, and
     the repetition number separately and merges exponents; this is sound
     because the concatenation is n times the repetition number and, when 10
     does not divide n, reversal distributes over the repetition.  The

@@ -178,7 +178,7 @@ def test_criterion_4_oracle_equivalence():
         for n in range(2, 151):
             if not eligible(n):
                 continue
-            for row in verify(n, 12):
+            for row in verify(n, 18):
                 assert row.agrees is not False, (n, row.k)
                 if digit_count(concat(n, row.k)) <= 25:
                     assert not isinstance(row.observed, Unverified), (n, row.k)

@@ -35,6 +35,7 @@ from vpal import (
     repetition_number,
     repetition_order,
     reverse_digits,
+    verify,
 )
 from vpal.characteristic import _constraint_table
 from vpal.indicator import _pipeline
@@ -42,6 +43,7 @@ from vpal.numbers import (
     _MR_BOUND,
     _TRIAL_LIMIT,
     _factorize_cached,
+    _factorize_survivor,
     _isprime,
     _order_of_ten,
     _repetition_factorization,
@@ -117,25 +119,67 @@ class TestFactorize:
         # the root of a root may be composite, or a power again
         assert factorize(n, budget=1_000).as_dict() == sympy.factorint(n)
 
+    HARD = 1000000000000066600000000000001  # 31-digit prime ("Belphegor")
+    SEMIPRIME = HARD * (10**30 + 57)  # 10**30 + 57 is prime
+
     def test_budget_exceeded_on_hard_semiprime(self):
-        hard = 1000000000000066600000000000001  # 31-digit prime ("Belphegor")
-        semiprime = hard * (10**30 + 57)  # 10**30 + 57 is prime
         with pytest.raises(BudgetExceeded) as info:
-            factorize(semiprime, budget=10_000)
+            factorize(self.SEMIPRIME, budget=10_000)
         assert info.value.budget == 10_000
-        assert info.value.n == semiprime
+        assert info.value.n == self.SEMIPRIME
+
+    def test_survivor_failure_names_each_caller(self, monkeypatch):
+        # the Brent stage is memoized on what trial division leaves, so a
+        # smooth multiple and the semiprime itself split (and fail on) it once
+        _factorize_cached.cache_clear()
+        _factorize_survivor.cache_clear()
+        splits = collections.Counter()
+
+        def counted(m, tracker):
+            splits[m] += 1
+            return brent(m, tracker)
+
+        brent = vpal.numbers._brent_factor
+        monkeypatch.setattr(vpal.numbers, "_brent_factor", counted)
+        with pytest.raises(BudgetExceeded) as info:
+            factorize(6 * self.SEMIPRIME, budget=10_000)
+        assert (info.value.n, info.value.cofactor, info.value.budget) == (6 * self.SEMIPRIME, self.SEMIPRIME, 10_000)
+        assert splits == {self.SEMIPRIME: 1}
+        with pytest.raises(BudgetExceeded) as info:
+            factorize(self.SEMIPRIME, 10_000)
+        assert (info.value.n, info.value.cofactor, info.value.budget) == (self.SEMIPRIME, self.SEMIPRIME, 10_000)
+        assert splits == {self.SEMIPRIME: 1}
 
     def test_cached_failure_keeps_its_traceback_depth(self):
         # regression: the memo held the raised BudgetExceeded and factorize
-        # raised that same object again, each raise adding to its traceback
+        # raised that same object again, each raise adding to its traceback;
+        # the smooth multiples miss the whole-n memo and hit the survivor memo
         n = (10**18 + 3) * (10**18 + 9)  # both factors prime
         depths = []
-        for _ in range(5):
+        for m in (n, 2 * n, 6 * n, n, 2 * n, 6 * n):
             try:
-                factorize(n, 10_000)
+                factorize(m, 10_000)
             except BudgetExceeded as exc:
+                assert exc.n == m and exc.cofactor == n
                 depths.append(len(traceback.extract_tb(exc.__traceback__)))
-        assert len(depths) == 5 and len(set(depths)) == 1
+        assert len(depths) == 6 and len(set(depths)) == 1
+        assert _factorize_survivor(n, 10_000).__traceback__ is None
+
+    def test_direct_verify_splits_each_composite_once(self, monkeypatch):
+        # 126 * R_k and its reversal 621 * R_k leave the same survivor of R_k
+        for memo in (_factorize_cached, _factorize_survivor, _order_of_ten, _repetition_order, _pipeline):
+            memo.cache_clear()
+        splits = collections.Counter()
+
+        def counted(m, tracker):
+            splits[m] += 1
+            return brent(m, tracker)
+
+        brent = vpal.numbers._brent_factor
+        monkeypatch.setattr(vpal.numbers, "_brent_factor", counted)
+        rows = verify(126, 14)
+        assert all(row.agrees for row in rows)
+        assert splits and max(splits.values()) == 1, splits
 
     def test_run_edges_match_sympy(self):
         # trial division takes the primes below 10**4 in runs of 32: the 32nd
@@ -481,7 +525,25 @@ class TestRepetitionOrder:
         # 1000000007 and its reversal 7000000001 are both prime, so both are
         # crucial primes above 10**8, proved by _isprime when n and rev(n) are
         # factored; their repetition orders read those factorizations back
-        for memo in (_factorize_cached, _order_of_ten, _repetition_order, _constraint_table, _pipeline):
+        proved = self.count_proofs(monkeypatch)
+        report = analyze(1000000007)
+        assert [r.p for r in report.records] == [1000000007, 7000000001]
+        assert proved[1000000007] == proved[7000000001] == 1
+        assert max(proved.values()) == 1, proved
+
+    def test_cold_analyze_proves_a_whole_survivor_once(self, monkeypatch):
+        # 1000000007 is what trial division leaves of 3000000021 = 3 * 1000000007,
+        # so factorize(1000000007) reads its proof from the survivor memo
+        proved = self.count_proofs(monkeypatch)
+        report = analyze(3000000021)
+        assert 1000000007 in [r.p for r in report.records]
+        assert proved[1000000007] == 1
+        assert max(proved.values()) == 1, proved
+
+    @staticmethod
+    def count_proofs(monkeypatch):
+        """Clear the memos and count _isprime calls per argument."""
+        for memo in (_factorize_cached, _factorize_survivor, _order_of_ten, _repetition_order, _constraint_table, _pipeline):
             memo.cache_clear()
         proved = collections.Counter()
 
@@ -490,10 +552,7 @@ class TestRepetitionOrder:
             return _isprime(m)
 
         monkeypatch.setattr(vpal.numbers, "_isprime", counted)
-        report = analyze(1000000007)
-        assert [r.p for r in report.records] == [1000000007, 7000000001]
-        assert proved[1000000007] == proved[7000000001] == 1
-        assert max(proved.values()) == 1, proved
+        return proved
 
     @staticmethod
     def assert_lifted_orders(primes):
