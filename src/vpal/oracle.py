@@ -57,15 +57,16 @@ def brute_force_flag(
     """Decide the k-fold concatenation of n by explicit construction.
 
     Direct mode builds the digit string, reverses it as a string, and factors
-    both integers; both leave the same cofactor of the repetition number after
-    trial division, whose split factorize memoizes, so it is split once here
-    and for every n of the same width below 10^4 (the budget still meters
-    each factorization as before).  Accelerated mode factors n, its reversal, and
-    the repetition number separately and merges exponents; this is sound
-    because the concatenation is n times the repetition number and, when 10
-    does not divide n, reversal distributes over the repetition.  The
-    repetition number is factored piece by piece along its cyclotomic factors
-    Phi_m(10) (repetition_factorization), each piece with the full budget.
+    both integers.  Both leave the same cofactor of the repetition number
+    after trial division, and factorize memoizes its split, so it is split
+    once here and for every n below 10^4 of the same width and k; the budget
+    still meters each factorization as before.  Accelerated mode factors n,
+    its reversal, and the repetition number separately and merges exponents;
+    this is sound because the concatenation is n times the repetition number
+    and, when 10 does not divide n, reversal distributes over the repetition.
+    The repetition number is factored piece by piece along its cyclotomic
+    factors Phi_m(10) (repetition_factorization), each piece with the full
+    budget.
     Returns UNVERIFIED instead of raising when the factoring budget runs out:
     in direct mode on either integer, in accelerated mode on n, its reversal
     or a single Phi_m(10) piece.

@@ -131,23 +131,16 @@ class TestFactorize:
     def test_survivor_failure_names_each_caller(self, monkeypatch):
         # the Brent stage is memoized on what trial division leaves, so a
         # smooth multiple and the semiprime itself split (and fail on) it once
-        _factorize_cached.cache_clear()
-        _factorize_survivor.cache_clear()
-        splits = collections.Counter()
-
-        def counted(m, tracker):
-            splits[m] += 1
-            return brent(m, tracker)
-
-        brent = vpal.numbers._brent_factor
-        monkeypatch.setattr(vpal.numbers, "_brent_factor", counted)
+        splits = self.count_splits(monkeypatch)
         with pytest.raises(BudgetExceeded) as info:
             factorize(6 * self.SEMIPRIME, budget=10_000)
-        assert (info.value.n, info.value.cofactor, info.value.budget) == (6 * self.SEMIPRIME, self.SEMIPRIME, 10_000)
+        exc = info.value
+        assert (exc.n, exc.cofactor, exc.budget) == (6 * self.SEMIPRIME, self.SEMIPRIME, 10_000)
         assert splits == {self.SEMIPRIME: 1}
         with pytest.raises(BudgetExceeded) as info:
             factorize(self.SEMIPRIME, 10_000)
-        assert (info.value.n, info.value.cofactor, info.value.budget) == (self.SEMIPRIME, self.SEMIPRIME, 10_000)
+        exc = info.value
+        assert (exc.n, exc.cofactor, exc.budget) == (self.SEMIPRIME, self.SEMIPRIME, 10_000)
         assert splits == {self.SEMIPRIME: 1}
 
     def test_cached_failure_keeps_its_traceback_depth(self):
@@ -167,19 +160,27 @@ class TestFactorize:
 
     def test_direct_verify_splits_each_composite_once(self, monkeypatch):
         # 126 * R_k and its reversal 621 * R_k leave the same survivor of R_k
-        for memo in (_factorize_cached, _factorize_survivor, _order_of_ten, _repetition_order, _pipeline):
+        for memo in (_order_of_ten, _repetition_order, _pipeline):
             memo.cache_clear()
+        splits = self.count_splits(monkeypatch)
+        rows = verify(126, 14)
+        assert all(row.agrees for row in rows)
+        assert splits and max(splits.values()) == 1, splits
+
+    @staticmethod
+    def count_splits(monkeypatch):
+        """Clear the factorization memos and count _brent_factor calls per argument."""
+        _factorize_cached.cache_clear()
+        _factorize_survivor.cache_clear()
         splits = collections.Counter()
+        brent = vpal.numbers._brent_factor
 
         def counted(m, tracker):
             splits[m] += 1
             return brent(m, tracker)
 
-        brent = vpal.numbers._brent_factor
         monkeypatch.setattr(vpal.numbers, "_brent_factor", counted)
-        rows = verify(126, 14)
-        assert all(row.agrees for row in rows)
-        assert splits and max(splits.values()) == 1, splits
+        return splits
 
     def test_run_edges_match_sympy(self):
         # trial division takes the primes below 10**4 in runs of 32: the 32nd
@@ -543,7 +544,9 @@ class TestRepetitionOrder:
     @staticmethod
     def count_proofs(monkeypatch):
         """Clear the memos and count _isprime calls per argument."""
-        for memo in (_factorize_cached, _factorize_survivor, _order_of_ten, _repetition_order, _constraint_table, _pipeline):
+        for memo in (_factorize_cached, _factorize_survivor, _order_of_ten, _repetition_order):
+            memo.cache_clear()
+        for memo in (_constraint_table, _pipeline):
             memo.cache_clear()
         proved = collections.Counter()
 
