@@ -134,7 +134,8 @@ def constraint_table(
     so the smaller exponent of p becomes alpha = mu + v, where v is the p-adic
     order of the repetition number.  u is realized when alpha is one of the
     lift exponents in {0, 1, >= 2} that give u: an interval [lo, hi] of v,
-    whose bounds pick one of the seven cases ([vii]: no v at all).
+    whose bounds pick one of the seven cases ([vii]: no v at all); _lifts
+    gives both, and which weights are realizable, to the table and the solver.
     v >= j exactly when repetition_order(p, j, digits) divides k, so the pair
     requires the order for lo >= 1 and excludes the one for hi + 1, at most
     one modulus a side.  For p = 2 and 5 the repetition number is never
@@ -149,22 +150,41 @@ def constraint_table(
 
 
 @lru_cache(maxsize=1 << 12)
-def _constraint_table(p: int, delta: int, mu: int, digits: int, budget: int) -> dict:
-    # keyed on positional arguments, so every spelling of a call is one entry
-    if mu < 0:
-        raise ValueError("constraint_table requires mu >= 0")
+def _lifts(
+    p: int, delta: int, mu: int
+) -> tuple[tuple[tuple[int, int, int | None, CaseLabel], ...], tuple[int, ...]]:
+    """(u, lo, hi, case) for every weight u of (p, delta, mu), by ascending u:
+    the interval [lo, hi] of p-adic orders v of the repetition number that
+    realize u (hi None: unbounded) and its case; then the realizable weights,
+    ascending.  No v realizes u in case [vii], nor for p = 2 and 5 with
+    lo >= 1, since the repetition number is never divisible by 2 or 5
+    (v = 0).  The weight of v = 0 is always realizable."""
     lifts: dict[int, list[int]] = {}
     for alpha in (0, 1, 2):  # 2 stands for every alpha >= 2
         lifts.setdefault(balance_weight(p, delta, alpha), []).append(alpha)
-    table = {}
+    cases, realizable = [], []
     for u, alphas in sorted(lifts.items()):
         lo = max(alphas[0] - mu, 0)
         hi = None if alphas[-1] == 2 else alphas[-1] - mu
         case = _CASES.get((lo, hi), CaseLabel.VII)
-        if p in (2, 5):
-            pair = _VACUOUS if lo == 0 and case is not CaseLabel.VII else _IMPOSSIBLE
-        elif case is CaseLabel.VII:
+        cases.append((u, lo, hi, case))
+        if case is not CaseLabel.VII and not (lo and p in (2, 5)):
+            realizable.append(u)
+    return tuple(cases), tuple(realizable)
+
+
+@lru_cache(maxsize=1 << 12)
+def _constraint_table(p: int, delta: int, mu: int, digits: int, budget: int) -> dict:
+    # keyed on positional arguments, so every spelling of a call is one entry
+    if mu < 0:
+        raise ValueError("constraint_table requires mu >= 0")
+    cases, realizable = _lifts(p, delta, mu)
+    table = {}
+    for u, lo, hi, case in cases:
+        if u not in realizable:
             pair = _IMPOSSIBLE
+        elif p in (2, 5):
+            pair = _VACUOUS
         else:
             pair = ConstraintPair(
                 frozenset({repetition_order(p, lo, digits, budget)}) if lo else _EMPTY,
@@ -178,7 +198,17 @@ def solve_characteristic(
     records: tuple[CrucialPrimeRecord, ...],
 ) -> tuple[tuple[int, ...], ...]:
     """All weight tuples, one weight per crucial prime in record order, that
-    zero out the signed sum, in lexicographic order.
+    zero out the signed sum, in lexicographic order."""
+    if not records:
+        raise ValueError("solve_characteristic requires at least one record")
+    return _solve(records, [weight_range(r.p, abs(r.delta)) for r in records])
+
+
+def _solve(
+    records: tuple[CrucialPrimeRecord, ...], weights: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """The tuples that take each record's weight from its ascending list in
+    weights and zero out the signed sum, in lexicographic order.
 
     Meet in the middle (E. Horowitz and S. Sahni, "Computing partitions with
     applications to the knapsack problem", J. ACM 21, 1974): the at most
@@ -187,13 +217,7 @@ def solve_characteristic(
     that cancels its own sum.  Both halves run in lexicographic order, so
     their concatenations do.
     """
-    if not records:
-        raise ValueError("solve_characteristic requires at least one record")
-    weights, signed = [], []
-    for r in records:
-        w = weight_range(r.p, abs(r.delta))
-        weights.append(w)
-        signed.append(w if r.delta > 0 else [-u for u in w])
+    signed = [w if r.delta > 0 else [-u for u in w] for r, w in zip(records, weights)]
     half = len(records) // 2
     tails: dict[int, list[tuple[int, ...]]] = {}
     for tail, terms in zip(product(*weights[half:]), product(*signed[half:])):

@@ -270,7 +270,8 @@ def cmd_table(args) -> int:
 
 def cmd_search(args) -> int:
     prop = SearchProperty(args.property)
-    for report in search_iter(args.until, prop, workers=args.workers, budget=args.budget):
+    scan = search_iter(args.until, prop, args.workers, args.budget, range_start=args.start)
+    for report in scan:
         if args.format == "json":
             payload = {
                 "n": str(report.n),
@@ -435,6 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     def search_args(p):
         p.set_defaults(handler=cmd_search, formats=("pretty", "json"))
         p.add_argument("property", choices=[sp.value for sp in SearchProperty])
+        p.add_argument(
+            "--from", dest="start", metavar="FROM", type=int, default=2, help="least n to scan (default 2)"
+        )
         p.add_argument("--until", type=int, required=True)
         p.add_argument("--workers", type=_positive_int, default=1)
 

@@ -15,6 +15,8 @@ from .characteristic import (
     ConstraintPair,
     CrucialPrimeRecord,
     SolutionConstraints,
+    _lifts,
+    _solve,
     assemble_constraints,
     constraint_table,
     crucial_primes,
@@ -140,9 +142,10 @@ class AnalysisReport:
     """Everything the pipeline derives for one number, kept together so the
     intermediate tables stay consistent with the final quantities.
 
-    tables holds each crucial prime's constraint table in record order (none
-    without solutions); a function of records and digits, it is left out of
-    equality and of the hash, so reports stay hashable.
+    The characteristic solutions, each crucial prime's constraint table and
+    every solution's constraints are read on first use (cached properties):
+    functions of records, digits and budget, they are left out of equality
+    and of the hash, so reports stay hashable.
     """
 
     n: int
@@ -151,13 +154,29 @@ class AnalysisReport:
     n_factorization: Factorization
     reverse_factorization: Factorization
     records: tuple[CrucialPrimeRecord, ...]
-    tables: tuple[dict[int, tuple[CaseLabel, ConstraintPair]], ...] = field(compare=False)
-    solutions: tuple[tuple[int, ...], ...]
     combination: IndicatorCombination
     order: Order
     omega0: int
     omega_f: int
     omega_b: int
+    budget: int = field(compare=False)
+    #: the tables _pipeline read, () when it needed none
+    pipeline_tables: tuple[dict[int, tuple[CaseLabel, ConstraintPair]], ...] = field(
+        compare=False, repr=False
+    )
+
+    @cached_property
+    def solutions(self) -> tuple[tuple[int, ...], ...]:
+        """Every characteristic solution, realizable or not, solved on first read."""
+        return solve_characteristic(self.records)
+
+    @cached_property
+    def tables(self) -> tuple[dict[int, tuple[CaseLabel, ConstraintPair]], ...]:
+        """Each crucial prime's constraint table in record order, none without
+        solutions: the pipeline's, or read on first use when it needed none."""
+        if self.pipeline_tables or not self.solutions:
+            return self.pipeline_tables
+        return _tables(self.records, self.digits, self.budget)
 
     @cached_property
     def constraints(self) -> tuple[SolutionConstraints, ...]:
@@ -172,11 +191,13 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
 
     Steps: crucial_primes checks n, factors n and its reversal and picks out
     the crucial primes (the report's two factorizations are then memo hits);
-    _pipeline solves the characteristic equation, reads each crucial prime's
-    constraint table, expands the nondegenerate solutions into the canonical
+    _pipeline solves the characteristic equation over the realizable weights,
+    reads the constraint tables, expands the solutions into the canonical
     combination and computes omega_f and omega_b; order and omega0 are read
-    off it.  Readers index the report's tables and call least_member on a
-    solution's pairs; the report assembles its constraints on first read.
+    off it.  The report solves the full equation, reads the tables the
+    pipeline did not need and assembles the constraints only when first
+    asked; readers index the tables and call least_member on a solution's
+    pairs.
 
     The report itself is built afresh on every call.  The one memo of the
     pipeline is _pipeline's, keyed on the records with every sign flipped when the first
@@ -186,7 +207,7 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
     records = crucial_primes(n, budget)
     rev = reverse_digits(n)
     d = digit_count(n)
-    solutions, tables, comb, bound_f, bound_b = _pipeline(_signature(records), d, budget)
+    tables, comb, bound_f, bound_b = _pipeline(_signature(records), d, budget)
     return AnalysisReport(
         n=n,
         reverse=rev,
@@ -194,14 +215,22 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
         n_factorization=factorize(n, budget),
         reverse_factorization=factorize(rev, budget),
         records=records,
-        tables=tables,
-        solutions=solutions,
         combination=comb,
         order=order(comb),
         omega0=fundamental_period(comb),
         omega_f=bound_f,
         omega_b=bound_b,
+        budget=budget,
+        pipeline_tables=tables,
     )
+
+
+def combination_and_bounds(n: int, budget: int = DEFAULT_BUDGET) -> tuple[IndicatorCombination, int, int]:
+    """The combination, omega_f and omega_b that analyze(n, budget) reports,
+    read from crucial_primes and the _pipeline memo without building the
+    report: what a scan needs to decide n."""
+    _, comb, bound_f, bound_b = _pipeline(_signature(crucial_primes(n, budget)), digit_count(n), budget)
+    return comb, bound_f, bound_b
 
 
 def _signature(records: tuple[CrucialPrimeRecord, ...]) -> tuple[CrucialPrimeRecord, ...]:
@@ -216,23 +245,30 @@ def _signature(records: tuple[CrucialPrimeRecord, ...]) -> tuple[CrucialPrimeRec
     return tuple(CrucialPrimeRecord(r.p, r.exp_reverse, r.exp_n) for r in records)
 
 
+def _tables(records: tuple[CrucialPrimeRecord, ...], digits: int, budget: int) -> tuple[dict, ...]:
+    return tuple(constraint_table(r.p, abs(r.delta), r.mu, digits, budget) for r in records)
+
+
 @lru_cache(maxsize=1 << 12)
 def _pipeline(
     records: tuple[CrucialPrimeRecord, ...], digits: int, budget: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[dict, ...], IndicatorCombination, int, int]:
-    """The characteristic solutions, each crucial prime's constraint table
-    (none without solutions), the combination of the nondegenerate solutions,
-    omega_f and omega_b, for crucial primes at a digit width; least_member
-    gives each solution's moduli and least member, without assembling, and
-    omega_b is the lcm of the moduli of the solutions that have one.
+) -> tuple[tuple[dict, ...], IndicatorCombination, int, int]:
+    """Each crucial prime's constraint table (none without realizable
+    solutions), the combination of the nondegenerate solutions, omega_f and
+    omega_b, for crucial primes at a digit width; omega_b is the lcm of the
+    moduli of the solutions that have a least member (least_member).
 
-    The one reader of constraint tables.  A table depends on p, |delta| and
-    mu only, which _signature's sign flip keeps, so the tables are n's own.
+    A solution with a weight that no repetition count realizes (_lifts) is
+    degenerate, since that weight indexes the always-false pair, so the
+    equation is solved over the realizable weights only.  At 6 and 7 digits
+    that leaves out nearly 9 in 10 of all solutions.  A table depends on p,
+    |delta| and mu only, which _signature's sign flip keeps, so the tables
+    are n's own.
     """
-    solutions = solve_characteristic(records)
+    solutions = _solve(records, [_lifts(r.p, abs(r.delta), r.mu)[1] for r in records])
     tables = ()
     if solutions:  # an unsolvable equation needs no repetition orders
-        tables = tuple(constraint_table(r.p, abs(r.delta), r.mu, digits, budget) for r in records)
+        tables = _tables(records, digits, budget)
     terms, omega_b = [], 1
     for solution in solutions:
         required, excluded, base = least_member([table[u][1] for table, u in zip(tables, solution)])
@@ -240,7 +276,7 @@ def _pipeline(
             terms += expand_solution(ConstraintPair(frozenset(required), frozenset(excluded))).terms
             omega_b = math.lcm(omega_b, base, *excluded)
     omega_f_parts = [repetition_order(r.p, 2, digits, budget) for r in records if r.p not in (2, 5)]
-    return solutions, tables, IndicatorCombination.collect(terms), math.lcm(*omega_f_parts), omega_b
+    return tables, IndicatorCombination.collect(terms), math.lcm(*omega_f_parts), omega_b
 
 
 def type_of(n: int, k: int) -> tuple[int, ...] | None:

@@ -279,7 +279,9 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     as before.  Primes below 10**8 are proved by the trial division, larger
     ones by _isprime, the package's one primality check: a proof below
     3.3*10**24 (strong probable-prime tests on bases known to suffice there),
-    a strong BPSW test above, which no known composite passes.
+    a strong BPSW test above, which no known composite passes.  Its verdicts
+    are memoized, so each prime is proved once, also when it comes out of a
+    Brent split and is later factored on its own.
     Raises BudgetExceeded when a cofactor that is not a perfect power resists
     within the iteration budget; the caller decides whether that means
     "skip", never "assume prime".
@@ -337,7 +339,7 @@ def _factorize_survivor(rem: int, budget: int) -> Factorization | BudgetExceeded
         m, mult = stack.pop()
         # no factor of rem has a prime factor below _TRIAL_LIMIT, so any
         # factor below _TRIAL_LIMIT squared is prime
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or _isprime(m):
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or _proved_prime(m):
             counts[m] = counts.get(m, 0) + mult
             continue
         # m has no prime factor below _TRIAL_LIMIT > 2**13, so m = r**k only
@@ -356,6 +358,13 @@ def _factorize_survivor(rem: int, budget: int) -> Factorization | BudgetExceeded
         stack.append((d, mult))
         stack.append((m // d, mult))
     return Factorization(tuple(sorted(counts.items())))
+
+
+@lru_cache(maxsize=1 << 15)
+def _proved_prime(m: int) -> bool:
+    # a prime out of a Brent split comes back alone, as factorize(p) from
+    # _order_of_ten or as a piece Phi_m(10), and reads its proof from here
+    return _isprime(m)
 
 
 def digit_count(n: int) -> int:

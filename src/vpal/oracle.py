@@ -8,7 +8,8 @@ concatenated integer and its digit reversal and factors both; factorize
 memoizes the split of what trial division leaves, so the two, and every
 concatenation with the same repetition cofactor, split it once.  Accelerated
 mode merges the factorizations of n, its reversal and the repetition number.
-verify, cross_check and search_iter read the pipeline's analyze.
+verify and cross_check read the pipeline's analyze; search_iter decides each
+n from the pipeline's memo and builds a report for each hit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,15 @@ from typing import Union
 
 from .characteristic import balance_weight, in_divisibility_set
 from .errors import BudgetExceeded, InvalidInput
-from .indicator import AnalysisReport, Singleton, analyze, evaluate
+from .indicator import (
+    AnalysisReport,
+    IndicatorCombination,
+    Singleton,
+    analyze,
+    combination_and_bounds,
+    evaluate,
+    fundamental_period,
+)
 from .numbers import (
     DEFAULT_BUDGET,
     check_eligible,
@@ -153,22 +162,25 @@ class SearchProperty(Enum):
 def anomaly_witness(report: AnalysisReport) -> tuple[int, int] | None:
     """The first indicator modulus that fails to divide the largest one,
     paired with that largest modulus."""
-    terms = report.combination.terms
-    if not terms:
+    return _witness(report.combination)
+
+
+def _witness(comb: IndicatorCombination) -> tuple[int, int] | None:
+    if not comb.terms:
         return None
-    largest = terms[-1][0]
-    for modulus, _ in terms:
+    largest = comb.terms[-1][0]
+    for modulus, _ in comb.terms:
         if largest % modulus != 0:
             return modulus, largest
     return None
 
 
-def _is_hit(report: AnalysisReport, prop: SearchProperty) -> bool:
+def _is_hit(comb: IndicatorCombination, omega_f: int, omega_b: int, prop: SearchProperty) -> bool:
     if prop is SearchProperty.CONJ1_COUNTEREXAMPLE:
-        return report.omega0 not in (1, report.omega_f)
+        return fundamental_period(comb) not in (1, omega_f)
     if prop is SearchProperty.OMEGA_B_COUNTEREXAMPLE:
-        return report.omega0 not in (1, report.omega_b)
-    return anomaly_witness(report) is not None
+        return fundamental_period(comb) not in (1, omega_b)
+    return _witness(comb) is not None
 
 
 def _eligible(n: int) -> bool:
@@ -176,15 +188,13 @@ def _eligible(n: int) -> bool:
 
 
 def _scan_chunk(args: tuple[int, int, SearchProperty, int]) -> list[AnalysisReport]:
+    # a hit is decided from the pipeline's memo; only a hit's report is built
     start, stop, prop, budget = args
-    hits = []
-    for n in range(start, stop):
-        if not _eligible(n):
-            continue
-        report = analyze(n, budget)
-        if _is_hit(report, prop):
-            hits.append(report)
-    return hits
+    return [
+        analyze(n, budget)
+        for n in range(start, stop)
+        if _eligible(n) and _is_hit(*combination_and_bounds(n, budget), prop)
+    ]
 
 
 def search_iter(
@@ -192,18 +202,25 @@ def search_iter(
     prop: SearchProperty,
     workers: int = 1,
     budget: int = DEFAULT_BUDGET,
+    range_start: int = 2,
 ):
-    """Scan eligible n in 2..range_end for the property, yielding the
-    AnalysisReport of each hit in increasing n as its chunk completes.
+    """Scan eligible n in range_start..range_end for the property, yielding
+    the AnalysisReport of each hit in increasing n as its chunk completes.
 
-    Work is sharded into contiguous chunks of CHUNK_SIZE n.  The pool gets at
-    most one process per chunk and per CPU; with one, the scan runs serially
-    in this process.  The hits are identical whatever the worker count.
+    Each n is decided from its combination, omega_f and omega_b
+    (combination_and_bounds); analyze builds the report of a hit only.  Work
+    is sharded into contiguous chunks of CHUNK_SIZE n from range_start.  The
+    pool gets at most one process per chunk and per CPU; with one, the scan
+    runs serially in this process.  The hits are identical whatever the
+    worker count, and equal those of a scan from 2 restricted to n >=
+    range_start.
     """
     if range_end < 2:
         raise InvalidInput("range_end must be >= 2")
+    if not 2 <= range_start <= range_end:
+        raise InvalidInput("range_start must be >= 2 and at most range_end")
     # a chunk is made when the scan reaches it: a list of them all would not fit at 10**10
-    starts = range(2, range_end + 1, CHUNK_SIZE)
+    starts = range(range_start, range_end + 1, CHUNK_SIZE)
     chunks = ((start, min(start + CHUNK_SIZE, range_end + 1), prop, budget) for start in starts)
     workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers <= 1:

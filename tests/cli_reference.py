@@ -71,6 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="scan for counterexample properties")
     p.set_defaults(handler=cmd_search, formats=("pretty", "json"))
     p.add_argument("property", choices=[sp.value for sp in SearchProperty])
+    p.add_argument(
+        "--from", dest="start", metavar="FROM", type=int, default=2, help="least n to scan (default 2)"
+    )
     p.add_argument("--until", type=int, required=True)
     p.add_argument("--workers", type=_positive_int, default=1)
 

@@ -392,6 +392,25 @@ class TestSearch:
         assert built == [5, 2]
 
 
+    def test_from_keeps_pooled_output_equal_to_serial(self, capsys, monkeypatch):
+        # 1000..2100 is three chunks from 1000; the pool is capped at the CPU
+        # count, so report two CPUs to keep this on the pooled path
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ("--format", "json", "search", "conj1", "--from", "1000", "--until", "2100")
+        code, serial, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK and serial
+        assert run_cli(capsys, *argv, "--workers", "2") == (EXIT_OK, serial, "")
+        _, full, _ = run_cli(capsys, "--format", "json", "search", "conj1", "--until", "2100")
+        lines = full.splitlines(keepends=True)
+        assert serial == "".join(line for line in lines if int(json.loads(line)["n"]) >= 1000)
+
+    @pytest.mark.parametrize("start", ["-1", "1", "2101"])
+    def test_from_outside_the_range_exits_2(self, capsys, start):
+        code, out, err = run_cli(capsys, "search", "conj1", "--from", start, "--until", "2100")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == "error: range_start must be >= 2 and at most range_end\n"
+
+
 class TestSpectrum:
     def test_periods(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "periods", "--samples", "1,0,1,0")
@@ -516,6 +535,7 @@ VALID_ARGV = [
     ("table", "13", "17"),
     ("table",),
     ("search", "omegab", "--until", "6000", "--workers", "2"),
+    ("search", "conj1", "--from", "500000", "--until", "502000"),
     ("spectrum", "periods", "--samples=1,0"),
     ("spectrum", "indicator", "6"),
     ("spectrum", "of-indicator", "126"),

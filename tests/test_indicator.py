@@ -23,6 +23,7 @@ from vpal import (
     SearchProperty,
     SolutionConstraints,
     analyze,
+    balance_weight,
     assemble_constraints,
     constraint_table,
     crucial_primes,
@@ -41,7 +42,7 @@ from vpal import (
     type_of,
     verify,
 )
-from vpal import characteristic
+from vpal import characteristic, indicator
 from vpal.cli import main, render_report, report_json
 from vpal.indicator import _pipeline, _signature
 
@@ -276,11 +277,11 @@ class TestAnalyze:
         ]
         assert all(r == reports[0] for r in reports)
         assert _pipeline.cache_info().misses == 1
-        # the memo holds the solutions, the tables and the final quantities,
-        # no assembled constraints
+        # the memo holds the tables and the final quantities, no solutions
+        # and no assembled constraints, and the report has not solved
         report = reports[0]
+        assert "solutions" not in vars(report)
         assert _pipeline(_signature(report.records), report.digits, DEFAULT_BUDGET) == (
-            report.solutions,
             report.tables,
             report.combination,
             report.omega_f,
@@ -361,13 +362,14 @@ def _reference_pipeline(records, digits):
     """The tables, the combination, omega_f and omega_b by assembling every
     solution from each record's constraint table: the live ones are expanded
     and collected, and omega_b is the lcm of their required and excluded
-    moduli.  An unsolvable equation reads no table."""
+    moduli.  The tables are read only when some solution has no always-false
+    pair, the one pair that excludes 1: no other solution needs them."""
     solutions = solve_characteristic(records)
     tables = tuple(constraint_table(r.p, abs(r.delta), r.mu, digits) for r in records if solutions)
     constraints = [assemble_constraints(s, tables) for s in solutions]
     live = [c for c in constraints if not c.degenerate]
     return (
-        tables,
+        tables if any(1 not in c.excluded for c in constraints) else (),
         IndicatorCombination.collect(term for c in live for term in expand_solution(c).terms),
         math.lcm(*(repetition_order(r.p, 2, digits) for r in records if r.p not in (2, 5))),
         math.lcm(*(m for c in live for m in c.required | c.excluded)),
@@ -379,9 +381,9 @@ WALKTHROUGH_126_SHA256 = "8836c649211f768ad5f4b3bbddca71464d8edc8d2b6352afd2688f
 
 
 class TestLeanPipeline:
-    """_pipeline reads the constraint tables and only what the combination
-    and omega_b need of them; the full constraints are assembled on a
-    report's first read of them."""
+    """_pipeline solves over the realizable weights and reads the constraint
+    tables and only what the combination and omega_b need of them; a report
+    solves in full and assembles the constraints on its first read of them."""
 
     def test_matches_assembling_every_solution(self):
         keys = {
@@ -390,15 +392,60 @@ class TestLeanPipeline:
             if _eligible(n)
         }
         for records, digits in keys:
-            solutions, *rest = _pipeline(records, digits, DEFAULT_BUDGET)
-            assert solutions == solve_characteristic(records)
-            assert tuple(rest) == _reference_pipeline(records, digits), records
+            assert _pipeline(records, digits, DEFAULT_BUDGET) == _reference_pipeline(records, digits), records
+
+    def test_solves_over_the_realizable_weights(self, monkeypatch):
+        # the pipeline's solutions are the report's that use only weights some
+        # p-adic order v of the repetition number realizes (v = 0 for 2 and 5)
+        solved = []
+
+        def recorded(records, weights):
+            solved.append(solve(records, weights))
+            return solved[-1]
+
+        solve = indicator._solve
+        monkeypatch.setattr(indicator, "_solve", recorded)
+        checked = 0
+        for n in range(1, 2101):
+            if not _eligible(n):
+                continue
+            report = analyze(n)
+            records = report.records
+            solved.clear()
+            _pipeline.__wrapped__(_signature(records), report.digits, DEFAULT_BUDGET)
+            realized = [
+                {balance_weight(r.p, abs(r.delta), r.mu + v) for v in ((0,) if r.p in (2, 5) else (0, 1, 2))}
+                for r in records
+            ]
+            realizable = tuple(s for s in report.solutions if all(u in w for u, w in zip(s, realized)))
+            assert solved == [realizable], n
+            assert report.solutions == solve_characteristic(records)
+            tables = tuple(constraint_table(r.p, abs(r.delta), r.mu, report.digits) for r in records)
+            assert report.constraints == tuple(assemble_constraints(s, tables) for s in report.solutions)
+            checked += 1
+        assert checked == 1771
+
+    def test_a_report_solves_in_full_at_most_once(self, monkeypatch):
+        calls = []
+
+        def counted(records):
+            calls.append(records)
+            return solve_characteristic(records)
+
+        monkeypatch.setattr(indicator, "solve_characteristic", counted)
+        for n in (126, 12, 16, 1308276133167003):
+            calls.clear()
+            report = analyze(n)
+            assert calls == []
+            render_report(report)
+            report_json(report)
+            report.constraints
+            assert calls == [report.records]
 
     @given(_records, st.integers(2, 4))
     @settings(max_examples=300)
     def test_matches_assembling_every_solution_on_any_records(self, records, digits):
-        _, *rest = _pipeline.__wrapped__(records, digits, DEFAULT_BUDGET)
-        assert tuple(rest) == _reference_pipeline(records, digits)
+        assert _pipeline.__wrapped__(records, digits, DEFAULT_BUDGET) == _reference_pipeline(records, digits)
 
     def test_search_and_verify_never_assemble(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):

@@ -44,6 +44,7 @@ from vpal.numbers import (
     _TRIAL_LIMIT,
     _factorize_cached,
     _factorize_survivor,
+    _proved_prime,
     _isprime,
     _order_of_ten,
     _repetition_factorization,
@@ -541,10 +542,21 @@ class TestRepetitionOrder:
         assert proved[1000000007] == 1
         assert max(proved.values()) == 1, proved
 
+    def test_cold_analyze_proves_a_split_prime_once(self, monkeypatch):
+        # trial division leaves all of n = 10007 * 1000000007 and 13241 *
+        # 244816909 of rev(n) = 29 * 13241 * 244816909; Brent's method splits
+        # both and proves 1000000007 and 244816909, which _order_of_ten then
+        # factors on their own (each was proved twice)
+        proved = self.count_proofs(monkeypatch)
+        report = analyze(10007 * 1000000007)
+        assert {1000000007, 244816909} <= {r.p for r in report.records}
+        assert proved[1000000007] == proved[244816909] == 1
+        assert max(proved.values()) == 1, proved
+
     @staticmethod
     def count_proofs(monkeypatch):
         """Clear the memos and count _isprime calls per argument."""
-        for memo in (_factorize_cached, _factorize_survivor, _order_of_ten, _repetition_order):
+        for memo in (_factorize_cached, _factorize_survivor, _proved_prime, _order_of_ten, _repetition_order):
             memo.cache_clear()
         for memo in (_constraint_table, _pipeline):
             memo.cache_clear()

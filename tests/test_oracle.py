@@ -1,5 +1,6 @@
 """Brute-force ground truth, prediction verification, and searches."""
 
+import functools
 import inspect
 import tracemalloc
 
@@ -20,6 +21,7 @@ from vpal import (
     search_iter,
     verify,
 )
+from vpal import indicator, oracle
 from vpal.numbers import _repetition_factorization
 from vpal.oracle import CHUNK_SIZE
 
@@ -209,3 +211,64 @@ class TestSearch:
         assert anomaly_witness(analyze(126)) is None
         assert anomaly_witness(analyze(12)) is None
 
+
+
+def report_is_hit(report, prop):
+    """The scan's predicate read off a whole report, as the scan read it
+    before it decided each n from the pipeline's memo."""
+    if prop is SearchProperty.CONJ1_COUNTEREXAMPLE:
+        return report.omega0 not in (1, report.omega_f)
+    if prop is SearchProperty.OMEGA_B_COUNTEREXAMPLE:
+        return report.omega0 not in (1, report.omega_b)
+    return anomaly_witness(report) is not None
+
+
+@functools.cache
+def reports_to(stop):
+    return tuple(analyze(n) for n in range(2, stop + 1) if eligible(n))
+
+
+class TestScanDecidesFromThePipeline:
+    """A scan decides each n from its combination, omega_f and omega_b and
+    builds the report of a hit only; its hits are the reports that the
+    report-based predicate accepts."""
+
+    @pytest.mark.parametrize("prop", list(SearchProperty))
+    def test_hits_are_the_reports_the_predicate_accepts(self, prop):
+        # to 6000, so that omegab has a hit (5957)
+        hits = list(search_iter(6000, prop))
+        assert hits == [r for r in reports_to(6000) if report_is_hit(r, prop)]
+        assert [r.n for r in hits] == sorted({r.n for r in hits})
+
+    def test_first_anomaly_from_its_band(self):
+        hits = list(search_iter(21800, SearchProperty.DIVISIBILITY_ANOMALY, range_start=21700))
+        assert [r.n for r in hits] == [21726]
+        assert anomaly_witness(hits[0]) == (816, 2197734)
+
+    def test_builds_reports_for_hits_only(self, monkeypatch):
+        built = []
+
+        def counted(n, budget=DEFAULT_BUDGET):
+            built.append(n)
+            return analyze(n, budget)
+
+        def refuse(*args):
+            raise AssertionError("solve_characteristic called")
+
+        monkeypatch.setattr(oracle, "analyze", counted)
+        monkeypatch.setattr(indicator, "solve_characteristic", refuse)
+        hits = list(search_iter(2100, SearchProperty.CONJ1_COUNTEREXAMPLE))
+        assert built == [r.n for r in hits] and len(hits) > 1
+
+
+class TestSearchFrom:
+    @pytest.mark.parametrize("start", [2, 126, 127, 1000, 1025, 2100])
+    def test_equals_the_full_scan_from_start(self, start):
+        prop = SearchProperty.CONJ1_COUNTEREXAMPLE
+        full = list(search_iter(2100, prop))
+        assert list(search_iter(2100, prop, range_start=start)) == [r for r in full if r.n >= start]
+
+    @pytest.mark.parametrize("start", [-1, 0, 1, 2101])
+    def test_rejects_a_start_outside_the_range(self, start):
+        with pytest.raises(InvalidInput):
+            next(search_iter(2100, SearchProperty.CONJ1_COUNTEREXAMPLE, range_start=start))
