@@ -149,28 +149,30 @@ def constraint_table(
     return _constraint_table(p, delta, mu, digits, budget)
 
 
-@lru_cache(maxsize=1 << 12)
-def _lifts(
-    p: int, delta: int, mu: int
-) -> tuple[tuple[tuple[int, int, int | None, CaseLabel], ...], tuple[int, ...]]:
-    """(u, lo, hi, case) for every weight u of (p, delta, mu), by ascending u:
-    the interval [lo, hi] of p-adic orders v of the repetition number that
-    realize u (hi None: unbounded) and its case; then the realizable weights,
-    ascending.  No v realizes u in case [vii], nor for p = 2 and 5 with
-    lo >= 1, since the repetition number is never divisible by 2 or 5
-    (v = 0).  The weight of v = 0 is always realizable."""
+def _lifts(p: int, delta: int, mu: int) -> list[tuple[int, int, int | None, CaseLabel, bool]]:
+    """(u, lo, hi, case, realizable) for every weight u of (p, delta, mu), by
+    ascending u: the interval [lo, hi] of p-adic orders v of the repetition
+    number that realize u (hi None: unbounded), its case, and whether any v
+    does.  None does in case [vii], nor for p = 2 and 5 with lo >= 1, since
+    the repetition number is never divisible by 2 or 5 (v = 0).  The weight
+    of v = 0 is always realizable."""
     lifts: dict[int, list[int]] = {}
     for alpha in (0, 1, 2):  # 2 stands for every alpha >= 2
         lifts.setdefault(balance_weight(p, delta, alpha), []).append(alpha)
-    cases, realizable = [], []
+    out = []
     for u, alphas in sorted(lifts.items()):
         lo = max(alphas[0] - mu, 0)
         hi = None if alphas[-1] == 2 else alphas[-1] - mu
         case = _CASES.get((lo, hi), CaseLabel.VII)
-        cases.append((u, lo, hi, case))
-        if case is not CaseLabel.VII and not (lo and p in (2, 5)):
-            realizable.append(u)
-    return tuple(cases), tuple(realizable)
+        out.append((u, lo, hi, case, case is not CaseLabel.VII and not (lo and p in (2, 5))))
+    return out
+
+
+@lru_cache(maxsize=1 << 12)
+def realizable_weights(p: int, delta: int, mu: int) -> tuple[int, ...]:
+    """The weights of (p, delta, mu) that some repetition count realizes,
+    ascending (_lifts); memoized for the solver, as the tables are."""
+    return tuple(u for u, _, _, _, realizable in _lifts(p, delta, mu) if realizable)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -178,10 +180,9 @@ def _constraint_table(p: int, delta: int, mu: int, digits: int, budget: int) -> 
     # keyed on positional arguments, so every spelling of a call is one entry
     if mu < 0:
         raise ValueError("constraint_table requires mu >= 0")
-    cases, realizable = _lifts(p, delta, mu)
     table = {}
-    for u, lo, hi, case in cases:
-        if u not in realizable:
+    for u, lo, hi, case, realizable in _lifts(p, delta, mu):
+        if not realizable:
             pair = _IMPOSSIBLE
         elif p in (2, 5):
             pair = _VACUOUS

@@ -15,13 +15,13 @@ from .characteristic import (
     ConstraintPair,
     CrucialPrimeRecord,
     SolutionConstraints,
-    _lifts,
     _solve,
     assemble_constraints,
     constraint_table,
     crucial_primes,
     in_divisibility_set,
     least_member,
+    realizable_weights,
     solve_characteristic,
 )
 from .numbers import (
@@ -258,14 +258,14 @@ def _pipeline(
     omega_b, for crucial primes at a digit width; omega_b is the lcm of the
     moduli of the solutions that have a least member (least_member).
 
-    A solution with a weight that no repetition count realizes (_lifts) is
+    A solution with a weight that no repetition count realizes is
     degenerate, since that weight indexes the always-false pair, so the
     equation is solved over the realizable weights only.  At 6 and 7 digits
     that leaves out nearly 9 in 10 of all solutions.  A table depends on p,
     |delta| and mu only, which _signature's sign flip keeps, so the tables
     are n's own.
     """
-    solutions = _solve(records, [_lifts(r.p, abs(r.delta), r.mu)[1] for r in records])
+    solutions = _solve(records, [realizable_weights(r.p, abs(r.delta), r.mu) for r in records])
     tables = ()
     if solutions:  # an unsolvable equation needs no repetition orders
         tables = _tables(records, digits, budget)
