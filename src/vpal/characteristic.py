@@ -221,11 +221,11 @@ def _solve(
     signed = [w if r.delta > 0 else [-u for u in w] for r, w in zip(records, weights)]
     half = len(records) // 2
     tails: dict[int, list[tuple[int, ...]]] = {}
-    for tail, terms in zip(product(*weights[half:]), product(*signed[half:])):
-        tails.setdefault(sum(terms), []).append(tail)
+    for tail, total in zip(product(*weights[half:]), map(sum, product(*signed[half:]))):
+        tails.setdefault(total, []).append(tail)
     out: list[tuple[int, ...]] = []
-    for head, terms in zip(product(*weights[:half]), product(*signed[:half])):
-        for tail in tails.get(-sum(terms), ()):
+    for head, total in zip(product(*weights[:half]), map(sum, product(*signed[:half]))):
+        for tail in tails.get(-total, ()):
             out.append(head + tail)
     return tuple(out)
 
