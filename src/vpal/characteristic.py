@@ -134,8 +134,9 @@ def constraint_table(
     so the smaller exponent of p becomes alpha = mu + v, where v is the p-adic
     order of the repetition number.  u is realized when alpha is one of the
     lift exponents in {0, 1, >= 2} that give u: an interval [lo, hi] of v,
-    whose bounds pick one of the seven cases ([vii]: no v at all); _lifts
-    gives both, and which weights are realizable, to the table and the solver.
+    whose bounds pick one of the seven cases ([vii]: no v at all).  _lifts
+    computes both, and whether any v realizes u, for this table and for
+    realizable_weights, which the solver reads.
     v >= j exactly when repetition_order(p, j, digits) divides k, so the pair
     requires the order for lo >= 1 and excludes the one for hi + 1, at most
     one modulus a side.  For p = 2 and 5 the repetition number is never
