@@ -3,17 +3,20 @@
 A finitely supported map from roots of unity to coefficients determines a
 periodic function x -> sum of coeff * zeta**x, and every periodic function
 arises that way from exactly one map.  This module converts one window of
-samples to its map, computes the fundamental period three independent ways,
-and expresses indicator combinations exactly in spectral form.
+samples to its map, computes the fundamental period three ways, and
+expresses indicator combinations exactly in spectral form.
 
 A spectrum is a plain dict from `Fraction` phase to coefficient: the key x,
 with 0 <= x < 1, stands for the root of unity e(x) = exp(2*pi*i*x), whose
 order is x.denominator.  Entries iterate by (denominator, numerator), and
 every coefficient in them is nonzero.
 
-`samples_to_spectrum` and `gcd_period` each run their own transform but read
-its support through one filter, `_active`, so the two formulas agree on which
-coefficients count as zero; it is the module's one zero rule.
+`samples_to_spectrum` and `gcd_period` read their support through one
+filter, `_active`, the module's one zero rule, so the two formulas agree on
+which coefficients count as zero.  They share one transform of a real
+window, whose +1 transform is the conjugate of its -1 transform bit for bit;
+there the shift test, `naive_fundamental_period`, is the independent check.
+A complex window keeps two transforms.
 
 A window of length w with prime-power factors q_1 ... q_k is transformed
 along its Chinese-remainder axes (the prime-factor transform of I. J. Good,
@@ -27,6 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Union
 
@@ -64,6 +68,11 @@ class PeriodicSamples:
     @property
     def period(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def _inverse(self) -> list[tuple[int, complex]]:
+        """`_active(values, -1)`, transformed on first read."""
+        return _active(self.values, -1)
 
 
 def support_period(g: Spectrum) -> int:
@@ -159,7 +168,7 @@ def samples_to_spectrum(s: PeriodicSamples) -> Spectrum:
     Raises InvalidInput for samples so large that the sums could overflow.
     """
     w = s.period
-    roots = [(Fraction(r, w), c) for r, c in _active(s.values, -1)]
+    roots = [(Fraction(r, w), c) for r, c in s._inverse]
     return dict(sorted(roots, key=lambda xc: (xc[0].denominator, xc[0].numerator)))
 
 
@@ -167,9 +176,15 @@ def gcd_period(s: PeriodicSamples) -> int:
     """Fundamental period via frequency indices: write the window in the basis
     zeta**(-x*k) for k = 0..period-1, take the active k's, and divide the window
     length by the gcd of those indices and the window length (an active k = 0
-    adds nothing to that gcd)."""
+    adds nothing to that gcd).
+
+    A real window reads the indices of `samples_to_spectrum`'s transform: its
+    samples have zero imaginary parts and e(r*x/w), e(-r*x/w) are conjugate
+    floats, so the two transforms are conjugate bit for bit."""
     w = s.period
-    return w // math.gcd(w, *(k for k, _ in _active(s.values, +1)))
+    real = all(isinstance(v, (int, Fraction, float)) for v in s.values)
+    active = s._inverse if real else _active(s.values, +1)
+    return w // math.gcd(w, *(k for k, _ in active))
 
 
 def naive_fundamental_period(s: PeriodicSamples) -> int:

@@ -25,7 +25,8 @@ from vpal import (
     support_period,
 )
 from vpal.numbers import factorize
-from vpal.spectrum import ZERO_TOLERANCE, _transform
+from vpal import spectrum
+from vpal.spectrum import ZERO_TOLERANCE, _active, _transform
 
 from spectral_inverse import eval_spectrum, spectrum_to_samples
 
@@ -155,22 +156,29 @@ class TestTransformTable:
     """Against the per-term formula: bit for bit on one axis, within the
     rounding floor on several."""
 
-    @staticmethod
-    def _windows(one_axis):
-        # one corpus for both tests, each taking the lengths with or without one axis
+    #: the per-term formula costs w**2 exponentials, so the tests against it
+    #: stop short of the last length
+    LENGTHS = (*range(1, 65), *range(84, 253, 42), 128, 243, 256, 2310)
+
+    @classmethod
+    def _windows(cls, keep):
+        # one corpus for every test, each keeping the lengths it takes
         rng = random.Random(252)
-        for w in [*range(1, 65), *range(84, 253, 42), 128, 243, 256]:
+        wide = random.Random(2310)  # leaves the first three kinds as they were
+        for w in cls.LENGTHS:
             windows = (
                 [rng.randint(-4, 4) for _ in range(w)],
                 [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(w)],
                 [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(w)],
+                [wide.randint(-(10**15), 10**15) for _ in range(w)],
+                [wide.uniform(-2, 2) for _ in range(w)],
             )
-            if (len(factorize(w)) <= 1) == one_axis:
+            if keep(w):
                 yield from windows
 
     def test_bit_identical_to_direct_formula(self):
         # a prime-power window has one axis, summed in order of x like the formula
-        for values in self._windows(one_axis=True):
+        for values in self._windows(keep=lambda w: len(factorize(w)) <= 1):
             w = len(values)
             s = PeriodicSamples(tuple(values))
             inverse = _direct_transform(values, -1)
@@ -184,7 +192,7 @@ class TestTransformTable:
 
     def test_composite_lengths_within_rounding_floor(self):
         # several axes sum in another order: only the rounding may change
-        for values in self._windows(one_axis=False):
+        for values in self._windows(keep=lambda w: len(factorize(w)) > 1 and w <= 256):
             w = len(values)
             floor = w * sys.float_info.epsilon * max(abs(complex(v)) for v in values)
             s = PeriodicSamples(tuple(values))
@@ -197,6 +205,16 @@ class TestTransformTable:
                 assert max(map(abs, map(sub, _transform(values, sign), direct))) <= floor
             active = [k for k in range(1, w + 1) if abs(forward[k % w]) >= ZERO_TOLERANCE]
             assert gcd_period(s) == w // math.gcd(w, *active)
+
+    def test_real_windows_transform_to_conjugates(self):
+        # gcd_period reads samples_to_spectrum's transform of a real window,
+        # which holds only while the two signs give conjugates bit for bit
+        for values in self._windows(keep=lambda w: True):
+            if any(isinstance(v, complex) for v in values):
+                continue
+            inverse, forward = _transform(values, -1), _transform(values, +1)
+            assert forward == [c.conjugate() for c in inverse]
+            assert list(map(abs, forward)) == list(map(abs, inverse))
 
     @pytest.mark.parametrize("w", [1, 12, 210, 2310, 30030])
     def test_impulse_lands_on_every_frequency_once(self, w):
@@ -228,6 +246,55 @@ class TestTransformTable:
                     break
             s = PeriodicSamples(tuple(block * (w // block_len)))
             assert support_period(samples_to_spectrum(s)) == gcd_period(s) == naive_fundamental_period(s) == block_len
+
+
+class TestSharedTransform:
+    """Both frequency formulas read one transform of a real window."""
+
+    @pytest.fixture
+    def signs(self, monkeypatch):
+        # the sign of every transform run, in order
+        signs = []
+
+        def counted(values, sign):
+            signs.append(sign)
+            return transform(values, sign)
+
+        transform = spectrum._transform
+        monkeypatch.setattr(spectrum, "_transform", counted)
+        return signs
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1, 0, 0, 1, 0, 0),
+            (10**15, 3, -(10**15), 3) * 3,
+            (Fraction(1, 3), Fraction(-2, 7)) * 6,
+            (0.5, -1.25, 2e-9, 0.5, -1.25, 2e-9),
+        ],
+        ids=["ints", "wide-ints", "fractions", "floats"],
+    )
+    def test_gcd_period_alone_transforms_a_real_window_once(self, signs, values):
+        w = len(values)
+        expected = w // math.gcd(w, *(k for k, _ in _active(values, +1)))
+        signs.clear()
+        assert gcd_period(PeriodicSamples(values)) == expected
+        assert signs == [-1]
+
+    def test_both_formulas_share_the_transform_of_a_real_window(self, signs):
+        s = PeriodicSamples((1, 0, 0, 1, 0, 0))
+        assert support_period(samples_to_spectrum(s)) == gcd_period(s) == 3
+        assert signs == [-1]
+
+    def test_complex_window_keeps_two_transforms(self, signs):
+        s = PeriodicSamples((1 + 1j, 0, 1 + 1j, 0))
+        assert support_period(samples_to_spectrum(s)) == gcd_period(s) == 2
+        assert signs == [-1, +1]
+
+    def test_transformed_window_still_equals_a_fresh_one(self):
+        a, b = PeriodicSamples((1, 0, 0, 1)), PeriodicSamples((1, 0, 0, 1))
+        samples_to_spectrum(a)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 class TestSpectrumToSamples:
