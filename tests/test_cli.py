@@ -12,7 +12,7 @@ import cli_reference
 import pytest
 from report_reference import to_json_dict
 
-from vpal import analyze, characteristic, cli, indicator, reverse_digits, spectrum
+from vpal import analyze, characteristic, cli, indicator, reverse_digits
 from vpal.cli import (
     EXIT_BUDGET,
     EXIT_DISAGREEMENT,
@@ -487,27 +487,6 @@ class TestSpectrum:
             "error: the periods disagree: support_period = 1, gcd_period = 1, "
             "naive_fundamental_period = 2\n"
         )
-
-    @pytest.mark.parametrize(
-        "samples, period, signs",
-        [("1,0,0,1,0,0", 3, [-1]), ("1+1j,0,1+1j,0", 2, [-1, +1])],
-        ids=["int-window-once", "complex-window-twice"],
-    )
-    def test_periods_transform_a_real_window_once(self, capsys, monkeypatch, samples, period, signs):
-        seen = []
-
-        def counted(values, sign):
-            seen.append(sign)
-            return transform(values, sign)
-
-        transform = spectrum._transform
-        monkeypatch.setattr(spectrum, "_transform", counted)
-        code, out, _ = run_cli(capsys, "spectrum", "periods", f"--samples={samples}")
-        assert code == EXIT_OK
-        assert out.splitlines()[1:] == [
-            f"{name} = {period}" for name in ("support_period", "gcd_period", "naive_fundamental_period")
-        ]
-        assert seen == signs
 
 
 class TestConfig:

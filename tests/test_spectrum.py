@@ -24,8 +24,9 @@ from vpal import (
     samples_to_spectrum,
     support_period,
 )
-from vpal.numbers import factorize
 from vpal import spectrum
+from vpal.cli import main
+from vpal.numbers import factorize
 from vpal.spectrum import ZERO_TOLERANCE, _active, _transform
 
 from spectral_inverse import eval_spectrum, spectrum_to_samples
@@ -281,15 +282,17 @@ class TestSharedTransform:
         assert gcd_period(PeriodicSamples(values)) == expected
         assert signs == [-1]
 
-    def test_both_formulas_share_the_transform_of_a_real_window(self, signs):
-        s = PeriodicSamples((1, 0, 0, 1, 0, 0))
-        assert support_period(samples_to_spectrum(s)) == gcd_period(s) == 3
-        assert signs == [-1]
-
-    def test_complex_window_keeps_two_transforms(self, signs):
-        s = PeriodicSamples((1 + 1j, 0, 1 + 1j, 0))
-        assert support_period(samples_to_spectrum(s)) == gcd_period(s) == 2
-        assert signs == [-1, +1]
+    @pytest.mark.parametrize(
+        "samples, period, expected",
+        [("1,0,0,1,0,0", 3, [-1]), ("1+1j,0,1+1j,0", 2, [-1, +1])],
+        ids=["int-window-once", "complex-window-twice"],
+    )
+    def test_periods_command(self, signs, capsys, samples, period, expected):
+        assert main(["spectrum", "periods", f"--samples={samples}"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"{name} = {period}" for name in ("support_period", "gcd_period", "naive_fundamental_period")
+        ]
+        assert signs == expected
 
     def test_transformed_window_still_equals_a_fresh_one(self):
         a, b = PeriodicSamples((1, 0, 0, 1)), PeriodicSamples((1, 0, 0, 1))
