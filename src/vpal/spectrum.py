@@ -11,12 +11,11 @@ with 0 <= x < 1, stands for the root of unity e(x) = exp(2*pi*i*x), whose
 order is x.denominator.  Entries iterate by (denominator, numerator), and
 every coefficient in them is nonzero.
 
-`samples_to_spectrum` and `gcd_period` read their support through one
-filter, `_active`, the module's one zero rule, so the two formulas agree on
-which coefficients count as zero.  They share one transform of a real
-window, whose +1 transform is the conjugate of its -1 transform bit for bit;
-there the shift test, `naive_fundamental_period`, is the independent check.
-A complex window keeps two transforms.
+`samples_to_spectrum` and `gcd_period` read one transform of the window,
+`PeriodicSamples._inverse`, whose coefficients below `_zero_threshold` are
+the module's one zero rule, so the two formulas agree on which coefficients
+count as zero.  The shift test, `naive_fundamental_period`, is the
+independent check.
 
 A window of length w with prime-power factors q_1 ... q_k is transformed
 along its Chinese-remainder axes (the prime-factor transform of I. J. Good,
@@ -71,8 +70,11 @@ class PeriodicSamples:
 
     @cached_property
     def _inverse(self) -> list[tuple[int, complex]]:
-        """`_active(values, -1)`, transformed on first read."""
-        return _active(self.values, -1)
+        """The pairs (r, c_r) of `_transform(values)` with |c_r| at or above
+        `_zero_threshold(values)`, transformed on first read: the support
+        both frequency formulas read."""
+        threshold = _zero_threshold(self.values)
+        return [(r, c) for r, c in enumerate(_transform(self.values)) if abs(c) >= threshold]
 
 
 def support_period(g: Spectrum) -> int:
@@ -83,8 +85,8 @@ def support_period(g: Spectrum) -> int:
     return math.lcm(*(x.denominator for x in g))
 
 
-def _transform(values, sign: int) -> list[complex]:
-    """(1/w) * sum over x of values[x] * e(sign*r*x/w), for r = 0..w-1.
+def _transform(values) -> list[complex]:
+    """c_r = (1/w) * sum over x of values[x] * e(-r*x/w), for r = 0..w-1.
 
     A Good-Thomas prime-factor transform (I. J. Good 1958; L. H. Thomas 1963):
     with w = q_1 * ... * q_k the prime powers of w and n_i = w/q_i, a flat
@@ -98,7 +100,7 @@ def _transform(values, sign: int) -> list[complex]:
     of `_largest_magnitude` hold unchanged.
 
     Each axis reads one table of the q_i-th roots of unity, the float that
-    exp(sign * 2*pi*i * j / q_i) gives.  For a prime-power w (one axis) the
+    exp(-2*pi*i * j / q_i) gives.  For a prime-power w (one axis) the
     terms are summed in order of x, so every coefficient is bit for bit the
     one the per-term formula gives; otherwise only the rounding differs.
     """
@@ -115,7 +117,7 @@ def _transform(values, sign: int) -> list[complex]:
     for q in axes:
         stride //= q
         span = q * stride
-        roots = [cmath.exp(sign * 2j * math.pi * j / q) for j in range(q)]
+        roots = [cmath.exp(-2j * math.pi * j / q) for j in range(q)]
         table = [[roots[r * x % q] for x in range(q)] for r in range(q)]
         for start in range(0, w, span):
             for lo in range(start, start + stride):
@@ -152,13 +154,6 @@ def _zero_threshold(values) -> float:
     return max(ZERO_TOLERANCE, len(values) * sys.float_info.epsilon * _largest_magnitude(values))
 
 
-def _active(values, sign: int) -> list[tuple[int, complex]]:
-    """The pairs (r, c_r) of `_transform(values, sign)` with |c_r| at or above
-    `_zero_threshold(values)`: the support both period formulas read."""
-    threshold = _zero_threshold(values)
-    return [(r, c) for r, c in enumerate(_transform(values, sign)) if abs(c) >= threshold]
-
-
 def samples_to_spectrum(s: PeriodicSamples) -> Spectrum:
     """Invert one window of samples into root-of-unity coefficients.
 
@@ -173,18 +168,16 @@ def samples_to_spectrum(s: PeriodicSamples) -> Spectrum:
 
 
 def gcd_period(s: PeriodicSamples) -> int:
-    """Fundamental period via frequency indices: write the window in the basis
-    zeta**(-x*k) for k = 0..period-1, take the active k's, and divide the window
-    length by the gcd of those indices and the window length (an active k = 0
-    adds nothing to that gcd).
+    """Fundamental period via frequency indices: the window length w divided
+    by the gcd of w and the active indices r of `samples_to_spectrum`'s
+    transform (an active r = 0 adds nothing to that gcd).
 
-    A real window reads the indices of `samples_to_spectrum`'s transform: its
-    samples have zero imaginary parts and e(r*x/w), e(-r*x/w) are conjugate
-    floats, so the two transforms are conjugate bit for bit."""
+    In the basis e(-x*k/w) the coefficient of index k = -r mod w is c_r, and
+    gcd(w, k) = gcd(w, r), so that basis needs no transform of its own.  The
+    lcm of the w/gcd(w, r) is w over the gcd of the gcd(w, r), so this equals
+    `support_period(samples_to_spectrum(s))` as integers."""
     w = s.period
-    real = all(isinstance(v, (int, Fraction, float)) for v in s.values)
-    active = s._inverse if real else _active(s.values, +1)
-    return w // math.gcd(w, *(k for k, _ in active))
+    return w // math.gcd(w, *(r for r, _ in s._inverse))
 
 
 def naive_fundamental_period(s: PeriodicSamples) -> int:

@@ -420,11 +420,12 @@ class TestSpectrum:
         assert "naive_fundamental_period = 2" in out
 
     def test_periods_agree_at_the_zero_threshold(self, capsys):
-        # both coefficients sit exactly at the zero threshold, which the
-        # support and the active frequency indices must read the same way
-        code, out, _ = run_cli(capsys, "spectrum", "periods", "--samples", "2e-9,0")
-        assert code == EXIT_OK
-        assert out == "window = 2\nsupport_period = 2\ngcd_period = 2\nnaive_fundamental_period = 2\n"
+        # |c_1| sits exactly at the zero threshold, which the support and the
+        # active frequency indices must read the same way
+        for samples in ("2e-9,0", "-8e-10+6e-10j,8e-10-6e-10j"):
+            code, out, _ = run_cli(capsys, "spectrum", "periods", f"--samples={samples}")
+            assert code == EXIT_OK
+            assert out == "window = 2\nsupport_period = 2\ngcd_period = 2\nnaive_fundamental_period = 2\n"
 
     def test_indicator(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "indicator", "6")

@@ -27,7 +27,7 @@ from vpal import (
 from vpal import spectrum
 from vpal.cli import main
 from vpal.numbers import factorize
-from vpal.spectrum import ZERO_TOLERANCE, _active, _transform
+from vpal.spectrum import ZERO_TOLERANCE, _transform, _zero_threshold
 
 from spectral_inverse import eval_spectrum, spectrum_to_samples
 
@@ -186,8 +186,8 @@ class TestTransformTable:
             expected = _direct_spectrum(inverse)
             got = samples_to_spectrum(s)
             assert [(r, repr(c)) for r, c in got.items()] == [(r, repr(c)) for r, c in expected]
+            assert list(map(repr, _transform(values))) == list(map(repr, inverse))
             forward = _direct_transform(values, +1)
-            assert list(map(repr, _transform(values, +1))) == list(map(repr, forward))
             active = [k for k in range(1, w + 1) if abs(forward[k % w]) >= ZERO_TOLERANCE]
             assert gcd_period(s) == w // math.gcd(w, *active)
 
@@ -201,32 +201,25 @@ class TestTransformTable:
             expected = _direct_spectrum(inverse)
             got = samples_to_spectrum(s)
             assert list(got) == [r for r, _ in expected]
+            assert max(map(abs, map(sub, _transform(values), inverse))) <= floor
             forward = _direct_transform(values, +1)
-            for sign, direct in ((-1, inverse), (+1, forward)):
-                assert max(map(abs, map(sub, _transform(values, sign), direct))) <= floor
             active = [k for k in range(1, w + 1) if abs(forward[k % w]) >= ZERO_TOLERANCE]
             assert gcd_period(s) == w // math.gcd(w, *active)
 
-    def test_real_windows_transform_to_conjugates(self):
-        # gcd_period reads samples_to_spectrum's transform of a real window,
-        # which holds only while the two signs give conjugates bit for bit
+    def test_gcd_period_equals_support_period(self):
+        # one support read two ways: lcm of w/gcd(w, r) = w/gcd of the gcd(w, r)
         for values in self._windows(keep=lambda w: True):
-            if any(isinstance(v, complex) for v in values):
-                continue
-            inverse, forward = _transform(values, -1), _transform(values, +1)
-            assert forward == [c.conjugate() for c in inverse]
-            assert list(map(abs, forward)) == list(map(abs, inverse))
+            s = PeriodicSamples(tuple(values))
+            assert gcd_period(s) == support_period(samples_to_spectrum(s))
 
     @pytest.mark.parametrize("w", [1, 12, 210, 2310, 30030])
     def test_impulse_lands_on_every_frequency_once(self, w):
-        # the transform of a unit impulse at x = 1 is e(sign*r/w)/w, a distinct
+        # the transform of a unit impulse at x = 1 is e(-r/w)/w, a distinct
         # value at every r, so a frequency written twice or out of place shows
         impulse = [0] * w
         impulse[1 % w] = 1
-        for sign in (-1, +1):
-            got = _transform(impulse, sign)
-            for r, c in enumerate(got):
-                assert abs(c - cmath.exp(sign * 2j * math.pi * r / w) / w) <= sys.float_info.epsilon
+        for r, c in enumerate(_transform(impulse)):
+            assert abs(c - cmath.exp(-2j * math.pi * r / w) / w) <= sys.float_info.epsilon
 
     @pytest.mark.parametrize("w", [6, 12])
     def test_composite_window_at_float_range_transforms_finitely(self, w):
@@ -235,7 +228,7 @@ class TestTransformTable:
         s = PeriodicSamples(block * (w // len(block)))
         g = samples_to_spectrum(s)
         assert all(cmath.isfinite(c) for c in g.values())
-        assert all(cmath.isfinite(c) for c in _transform(s.values, +1))
+        assert all(cmath.isfinite(c) for c in _transform(s.values))
         assert support_period(g) == gcd_period(s) == naive_fundamental_period(s) == 6
 
     def test_three_formulas_agree_on_long_composite_windows(self):
@@ -250,20 +243,20 @@ class TestTransformTable:
 
 
 class TestSharedTransform:
-    """Both frequency formulas read one transform of a real window."""
+    """Both frequency formulas read one transform of the window."""
 
     @pytest.fixture
-    def signs(self, monkeypatch):
-        # the sign of every transform run, in order
-        signs = []
+    def calls(self, monkeypatch):
+        # the window of every transform run, in order
+        calls = []
 
-        def counted(values, sign):
-            signs.append(sign)
-            return transform(values, sign)
+        def counted(values):
+            calls.append(values)
+            return transform(values)
 
         transform = spectrum._transform
         monkeypatch.setattr(spectrum, "_transform", counted)
-        return signs
+        return calls
 
     @pytest.mark.parametrize(
         "values",
@@ -275,24 +268,25 @@ class TestSharedTransform:
         ],
         ids=["ints", "wide-ints", "fractions", "floats"],
     )
-    def test_gcd_period_alone_transforms_a_real_window_once(self, signs, values):
+    def test_gcd_period_alone_transforms_a_real_window_once(self, calls, values):
         w = len(values)
-        expected = w // math.gcd(w, *(k for k, _ in _active(values, +1)))
-        signs.clear()
+        forward = _direct_transform(values, +1)
+        threshold = _zero_threshold(values)
+        expected = w // math.gcd(w, *(k for k in range(w) if abs(forward[k]) >= threshold))
         assert gcd_period(PeriodicSamples(values)) == expected
-        assert signs == [-1]
+        assert calls == [values]
 
     @pytest.mark.parametrize(
-        "samples, period, expected",
-        [("1,0,0,1,0,0", 3, [-1]), ("1+1j,0,1+1j,0", 2, [-1, +1])],
-        ids=["int-window-once", "complex-window-twice"],
+        "samples, period",
+        [("1,0,0,1,0,0", 3), ("0.5,0,0.5,0", 2), ("1+1j,0,1+1j,0", 2)],
+        ids=["int-window-once", "decimal-window-once", "complex-window-once"],
     )
-    def test_periods_command(self, signs, capsys, samples, period, expected):
+    def test_periods_command(self, calls, capsys, samples, period):
         assert main(["spectrum", "periods", f"--samples={samples}"]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == [
             f"{name} = {period}" for name in ("support_period", "gcd_period", "naive_fundamental_period")
         ]
-        assert signs == expected
+        assert len(calls) == 1
 
     def test_transformed_window_still_equals_a_fresh_one(self):
         a, b = PeriodicSamples((1, 0, 0, 1)), PeriodicSamples((1, 0, 0, 1))
@@ -342,10 +336,11 @@ class TestPeriodFormulas:
         assert support_period(samples_to_spectrum(s)) == 3
 
     def test_coefficient_at_the_threshold_counts_in_both_transforms(self):
-        # both coefficients are exactly 1e-9, the zero threshold: the support
-        # and the active frequency indices must read them the same way
-        s = PeriodicSamples((2e-9, 0))
-        assert support_period(samples_to_spectrum(s)) == gcd_period(s) == naive_fundamental_period(s) == 2
+        # |c_1| is exactly 1e-9, the zero threshold: the support and the
+        # active frequency indices must read it the same way
+        for values in ((2e-9, 0), (-8e-10 + 6e-10j, 8e-10 - 6e-10j)):
+            s = PeriodicSamples(values)
+            assert support_period(samples_to_spectrum(s)) == gcd_period(s) == naive_fundamental_period(s) == 2
 
     def test_naive_examples(self):
         assert naive_fundamental_period(PeriodicSamples((1, 0, 1, 0))) == 2
