@@ -134,14 +134,12 @@ def constraint_table(
     so the smaller exponent of p becomes alpha = mu + v, where v is the p-adic
     order of the repetition number.  u is realized when alpha is one of the
     lift exponents in {0, 1, >= 2} that give u: an interval [lo, hi] of v,
-    whose bounds pick one of the seven cases ([vii]: no v at all).  _lifts
-    computes both, and whether any v realizes u, for this table and for
-    realizable_weights, which the solver reads.
+    whose bounds pick one of the seven cases ([vii]: no v at all).
     v >= j exactly when repetition_order(p, j, digits) divides k, so the pair
     requires the order for lo >= 1 and excludes the one for hi + 1, at most
-    one modulus a side.  For p = 2 and 5 the repetition number is never
-    divisible by p (v = 0): the pair is vacuous or, for impossible
-    combinations, always false (nothing required, 1 excluded).
+    one modulus a side.  A weight that is not in realizable_weights gets the
+    always-false pair (nothing required, 1 excluded); for p = 2 and 5 the
+    others get the vacuous one.
 
     The table may compute an order for a weight that no solution uses.  That
     never adds a BudgetExceeded: repetition_order factors the prime p and
@@ -150,30 +148,15 @@ def constraint_table(
     return _constraint_table(p, delta, mu, digits, budget)
 
 
-def _lifts(p: int, delta: int, mu: int) -> list[tuple[int, int, int | None, CaseLabel, bool]]:
-    """(u, lo, hi, case, realizable) for every weight u of (p, delta, mu), by
-    ascending u: the interval [lo, hi] of p-adic orders v of the repetition
-    number that realize u (hi None: unbounded), its case, and whether any v
-    does.  None does in case [vii], nor for p = 2 and 5 with lo >= 1, since
-    the repetition number is never divisible by 2 or 5 (v = 0).  The weight
-    of v = 0 is always realizable."""
-    lifts: dict[int, list[int]] = {}
-    for alpha in (0, 1, 2):  # 2 stands for every alpha >= 2
-        lifts.setdefault(balance_weight(p, delta, alpha), []).append(alpha)
-    out = []
-    for u, alphas in sorted(lifts.items()):
-        lo = max(alphas[0] - mu, 0)
-        hi = None if alphas[-1] == 2 else alphas[-1] - mu
-        case = _CASES.get((lo, hi), CaseLabel.VII)
-        out.append((u, lo, hi, case, case is not CaseLabel.VII and not (lo and p in (2, 5))))
-    return out
-
-
 @lru_cache(maxsize=1 << 12)
 def realizable_weights(p: int, delta: int, mu: int) -> tuple[int, ...]:
     """The weights of (p, delta, mu) that some repetition count realizes,
-    ascending (_lifts); memoized for the solver, as the tables are."""
-    return tuple(u for u, _, _, _, realizable in _lifts(p, delta, mu) if realizable)
+    ascending: balance_weight at alpha = mu + v for every p-adic order v of
+    the repetition number, which is 0 for p = 2 and 5 (the repetition number
+    is never divisible by them) and any v >= 0 otherwise (v = 2 stands for
+    every v >= 2).  Memoized for the solver and the tables."""
+    vs = (0,) if p in (2, 5) else (0, 1, 2)
+    return tuple(sorted({balance_weight(p, delta, mu + v) for v in vs}))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -181,9 +164,15 @@ def _constraint_table(p: int, delta: int, mu: int, digits: int, budget: int) -> 
     # keyed on positional arguments, so every spelling of a call is one entry
     if mu < 0:
         raise ValueError("constraint_table requires mu >= 0")
+    lifts: dict[int, list[int]] = {}
+    for alpha in (0, 1, 2):  # 2 stands for every alpha >= 2
+        lifts.setdefault(balance_weight(p, delta, alpha), []).append(alpha)
+    realizable = realizable_weights(p, delta, mu)
     table = {}
-    for u, lo, hi, case, realizable in _lifts(p, delta, mu):
-        if not realizable:
+    for u, alphas in sorted(lifts.items()):
+        lo = max(alphas[0] - mu, 0)
+        hi = None if alphas[-1] == 2 else alphas[-1] - mu
+        if u not in realizable:
             pair = _IMPOSSIBLE
         elif p in (2, 5):
             pair = _VACUOUS
@@ -192,7 +181,7 @@ def _constraint_table(p: int, delta: int, mu: int, digits: int, budget: int) -> 
                 frozenset({repetition_order(p, lo, digits, budget)}) if lo else _EMPTY,
                 _EMPTY if hi is None else frozenset({repetition_order(p, hi + 1, digits, budget)}),
             )
-        table[u] = (case, pair)
+        table[u] = (_CASES.get((lo, hi), CaseLabel.VII), pair)
     return table
 
 

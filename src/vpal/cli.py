@@ -272,6 +272,7 @@ def cmd_search(args) -> int:
     prop = SearchProperty(args.property)
     scan = search_iter(args.until, prop, args.workers, args.budget, range_start=args.start)
     for report in scan:
+        witness = anomaly_witness(report) if prop is SearchProperty.DIVISIBILITY_ANOMALY else None
         if args.format == "json":
             payload = {
                 "n": str(report.n),
@@ -283,8 +284,7 @@ def cmd_search(args) -> int:
                     {"c": str(m), "lambda": str(c)} for m, c in report.combination.terms
                 ],
             }
-            if prop is SearchProperty.DIVISIBILITY_ANOMALY:
-                witness = anomaly_witness(report)
+            if witness is not None:
                 payload["witness"] = [str(witness[0]), str(witness[1])]
             print(json.dumps(payload), flush=True)
         else:
@@ -292,8 +292,7 @@ def cmd_search(args) -> int:
                 f"n={report.n}  I = {report.combination}  omega0={report.omega0}  "
                 f"omega_f={report.omega_f}  omega_b={report.omega_b}"
             )
-            if prop is SearchProperty.DIVISIBILITY_ANOMALY:
-                witness = anomaly_witness(report)
+            if witness is not None:
                 detail += f"  witness: {witness[0]} does not divide {witness[1]}"
             print(detail, flush=True)
     return EXIT_OK

@@ -145,7 +145,8 @@ class AnalysisReport:
     The characteristic solutions, each crucial prime's constraint table and
     every solution's constraints are read on first use (cached properties):
     functions of records, digits and budget, they are left out of equality
-    and of the hash, so reports stay hashable.
+    and of the hash, so reports stay hashable.  The tables come from
+    constraint_table's memo, where the pipeline left them if it read them.
     """
 
     n: int
@@ -160,10 +161,6 @@ class AnalysisReport:
     omega_f: int
     omega_b: int
     budget: int = field(compare=False)
-    #: the tables _pipeline read, () when it needed none
-    pipeline_tables: tuple[dict[int, tuple[CaseLabel, ConstraintPair]], ...] = field(
-        compare=False, repr=False
-    )
 
     @cached_property
     def solutions(self) -> tuple[tuple[int, ...], ...]:
@@ -173,10 +170,8 @@ class AnalysisReport:
     @cached_property
     def tables(self) -> tuple[dict[int, tuple[CaseLabel, ConstraintPair]], ...]:
         """Each crucial prime's constraint table in record order, none without
-        solutions: the pipeline's, or read on first use when it needed none."""
-        if self.pipeline_tables or not self.solutions:
-            return self.pipeline_tables
-        return _tables(self.records, self.digits, self.budget)
+        solutions, read on first use: memo hits when the pipeline read them."""
+        return _tables(self.records, self.digits, self.budget) if self.solutions else ()
 
     @cached_property
     def constraints(self) -> tuple[SolutionConstraints, ...]:
@@ -194,9 +189,10 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
     _pipeline solves the characteristic equation over the realizable weights,
     reads the constraint tables, expands the solutions into the canonical
     combination and computes omega_f and omega_b; order and omega0 are read
-    off it.  The report solves the full equation, reads the tables the
-    pipeline did not need and assembles the constraints only when first
-    asked; readers index the tables and call least_member on a solution's
+    off it.  The report solves the full equation, reads the tables and
+    assembles the constraints only when first asked, and the tables come
+    from constraint_table's memo, where the pipeline left them if it read
+    them; readers index the tables and call least_member on a solution's
     pairs.
 
     The report itself is built afresh on every call.  The one memo of the
@@ -207,7 +203,7 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
     records = crucial_primes(n, budget)
     rev = reverse_digits(n)
     d = digit_count(n)
-    tables, comb, bound_f, bound_b = _pipeline(_signature(records), d, budget)
+    comb, bound_f, bound_b = _pipeline(_signature(records), d, budget)
     return AnalysisReport(
         n=n,
         reverse=rev,
@@ -221,7 +217,6 @@ def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
         omega_f=bound_f,
         omega_b=bound_b,
         budget=budget,
-        pipeline_tables=tables,
     )
 
 
@@ -229,8 +224,7 @@ def combination_and_bounds(n: int, budget: int = DEFAULT_BUDGET) -> tuple[Indica
     """The combination, omega_f and omega_b that analyze(n, budget) reports,
     read from crucial_primes and the _pipeline memo without building the
     report: what a scan needs to decide n."""
-    _, comb, bound_f, bound_b = _pipeline(_signature(crucial_primes(n, budget)), digit_count(n), budget)
-    return comb, bound_f, bound_b
+    return _pipeline(_signature(crucial_primes(n, budget)), digit_count(n), budget)
 
 
 def _signature(records: tuple[CrucialPrimeRecord, ...]) -> tuple[CrucialPrimeRecord, ...]:
@@ -252,23 +246,21 @@ def _tables(records: tuple[CrucialPrimeRecord, ...], digits: int, budget: int) -
 @lru_cache(maxsize=1 << 12)
 def _pipeline(
     records: tuple[CrucialPrimeRecord, ...], digits: int, budget: int
-) -> tuple[tuple[dict, ...], IndicatorCombination, int, int]:
-    """Each crucial prime's constraint table (none without realizable
-    solutions), the combination of the nondegenerate solutions, omega_f and
-    omega_b, for crucial primes at a digit width; omega_b is the lcm of the
-    moduli of the solutions that have a least member (least_member).
+) -> tuple[IndicatorCombination, int, int]:
+    """The combination of the nondegenerate solutions, omega_f and omega_b,
+    for crucial primes at a digit width; omega_b is the lcm of the moduli of
+    the solutions that have a least member (least_member).
 
     A solution with a weight that no repetition count realizes is
     degenerate, since that weight indexes the always-false pair, so the
     equation is solved over the realizable weights only.  At 6 and 7 digits
     that leaves out nearly 9 in 10 of all solutions.  A table depends on p,
-    |delta| and mu only, which _signature's sign flip keeps, so the tables
-    are n's own.
+    |delta| and mu only, which _signature's sign flip keeps, so a report
+    reads n's own tables from constraint_table's memo.
     """
     solutions = _solve(records, [realizable_weights(r.p, abs(r.delta), r.mu) for r in records])
-    tables = ()
-    if solutions:  # an unsolvable equation needs no repetition orders
-        tables = _tables(records, digits, budget)
+    # an unsolvable equation needs no repetition orders
+    tables = _tables(records, digits, budget) if solutions else ()
     terms, omega_b = [], 1
     for solution in solutions:
         required, excluded, base = least_member([table[u][1] for table, u in zip(tables, solution)])
@@ -276,7 +268,7 @@ def _pipeline(
             terms += expand_solution(ConstraintPair(frozenset(required), frozenset(excluded))).terms
             omega_b = math.lcm(omega_b, base, *excluded)
     omega_f_parts = [repetition_order(r.p, 2, digits, budget) for r in records if r.p not in (2, 5)]
-    return tables, IndicatorCombination.collect(terms), math.lcm(*omega_f_parts), omega_b
+    return IndicatorCombination.collect(terms), math.lcm(*omega_f_parts), omega_b
 
 
 def type_of(n: int, k: int) -> tuple[int, ...] | None:

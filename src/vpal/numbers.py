@@ -560,9 +560,10 @@ def _order_of_ten(p: int, budget: int) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def _repetition_order(p: int, alpha: int, digits: int, budget: int) -> int:
-    t = _order_of_ten(p, budget)
+    # the arguments are checked before p is factored, which may exhaust the budget
     if alpha < 1 or digits < 1:
         raise ValueError("repetition_order requires alpha >= 1 and digits >= 1")
+    t = _order_of_ten(p, budget)
     t1 = t // math.gcd(t, digits)
     modulus = p ** (alpha + padic_order(10**digits - 1, p))
     r = pow(10, digits * t1, modulus) - 1

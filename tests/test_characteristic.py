@@ -25,7 +25,7 @@ from vpal import (
     solve_characteristic,
     weight_range,
 )
-from vpal.characteristic import _constraint_table, least_member
+from vpal.characteristic import _IMPOSSIBLE, _constraint_table, least_member
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -271,6 +271,22 @@ class TestConstraintPairs:
                     for digits in range(1, 4):
                         table = constraint_table(p, delta, mu, digits)
                         assert tuple(table) == weight_range(p, delta), (p, delta, mu, digits)
+
+    def test_always_false_exactly_when_no_order_realizes_the_weight(self):
+        # realizable_weights and the case label are computed apart: a weight
+        # gets the always-false pair exactly in case [vii], where no p-adic
+        # order v of the repetition number realizes it, or for 2 and 5, whose
+        # v is always 0, when the least v that realizes it is lo >= 1
+        for p in sympy.primerange(2, 300):
+            for delta in range(1, 6):
+                for mu in range(5):
+                    for digits in range(1, 4):
+                        for u, (case, pair) in constraint_table(p, delta, mu, digits).items():
+                            vs = [v for v in (0, 1, 2) if balance_weight(p, delta, mu + v) == u]
+                            assert (case is CaseLabel.VII) == (not vs), (p, delta, mu, u)
+                            lifted = p in (2, 5) and case is not CaseLabel.VII and vs[0] >= 1
+                            impossible = case is CaseLabel.VII or lifted
+                            assert (pair == _IMPOSSIBLE) == impossible, (p, delta, mu, digits, u)
 
     def test_rejects_negative_mu(self):
         with pytest.raises(ValueError, match="constraint_table requires mu >= 0"):

@@ -277,12 +277,11 @@ class TestAnalyze:
         ]
         assert all(r == reports[0] for r in reports)
         assert _pipeline.cache_info().misses == 1
-        # the memo holds the tables and the final quantities, no solutions
-        # and no assembled constraints, and the report has not solved
+        # the memo holds the final quantities, no tables, no solutions and no
+        # assembled constraints, and the report has not solved
         report = reports[0]
         assert "solutions" not in vars(report)
         assert _pipeline(_signature(report.records), report.digits, DEFAULT_BUDGET) == (
-            report.tables,
             report.combination,
             report.omega_f,
             report.omega_b,
@@ -359,17 +358,14 @@ class TestSharedPipeline:
 
 
 def _reference_pipeline(records, digits):
-    """The tables, the combination, omega_f and omega_b by assembling every
-    solution from each record's constraint table: the live ones are expanded
-    and collected, and omega_b is the lcm of their required and excluded
-    moduli.  The tables are read only when some solution has no always-false
-    pair, the one pair that excludes 1: no other solution needs them."""
+    """The combination, omega_f and omega_b by assembling every solution from
+    each record's constraint table: the live ones are expanded and collected,
+    and omega_b is the lcm of their required and excluded moduli."""
     solutions = solve_characteristic(records)
     tables = tuple(constraint_table(r.p, abs(r.delta), r.mu, digits) for r in records if solutions)
     constraints = [assemble_constraints(s, tables) for s in solutions]
     live = [c for c in constraints if not c.degenerate]
     return (
-        tables if any(1 not in c.excluded for c in constraints) else (),
         IndicatorCombination.collect(term for c in live for term in expand_solution(c).terms),
         math.lcm(*(repetition_order(r.p, 2, digits) for r in records if r.p not in (2, 5))),
         math.lcm(*(m for c in live for m in c.required | c.excluded)),

@@ -501,6 +501,13 @@ class TestRepetitionOrder:
         with pytest.raises(ValueError, match="alpha >= 1 and digits >= 1"):
             repetition_order(7, alpha, digits)
 
+    @pytest.mark.parametrize("alpha, digits", [(0, 1), (1, 0)])
+    def test_checks_alpha_and_width_before_factoring(self, alpha, digits):
+        # regression: the order of 10 modulo p came first, so a composite p
+        # that resists factoring spent the budget and raised BudgetExceeded
+        with pytest.raises(ValueError, match="alpha >= 1 and digits >= 1"):
+            repetition_order((2**61 - 1) * (2**89 - 1), alpha, digits, 10000)
+
     def test_every_spelling_is_one_memo_entry(self):
         _repetition_order.cache_clear()
         repetition_order(7, 1, 2)
