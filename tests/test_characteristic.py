@@ -284,8 +284,7 @@ class TestConstraintPairs:
                         for u, (case, pair) in constraint_table(p, delta, mu, digits).items():
                             vs = [v for v in (0, 1, 2) if balance_weight(p, delta, mu + v) == u]
                             assert (case is CaseLabel.VII) == (not vs), (p, delta, mu, u)
-                            lifted = p in (2, 5) and case is not CaseLabel.VII and vs[0] >= 1
-                            impossible = case is CaseLabel.VII or lifted
+                            impossible = not vs or (p in (2, 5) and vs[0] >= 1)
                             assert (pair == _IMPOSSIBLE) == impossible, (p, delta, mu, digits, u)
 
     def test_rejects_negative_mu(self):
