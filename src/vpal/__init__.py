@@ -13,7 +13,6 @@ from .numbers import (
     Factorization,
     check_eligible,
     concat,
-    cyclotomic_value,
     digit_count,
     divisors,
     factorization_sum,
@@ -22,7 +21,6 @@ from .numbers import (
     is_v_palindrome,
     multiplicative_order,
     padic_order,
-    repetition_factorization,
     repetition_number,
     repetition_order,
     reverse_digits,

@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--accelerated",
             action="store_true",
-            help="factor base, reversal, and repetition number separately",
+            help="factor only n and its reversal; read the repetition number at their primes",
         )
 
     def table_args(p):

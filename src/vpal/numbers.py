@@ -363,7 +363,7 @@ def _factorize_survivor(rem: int, budget: int) -> Factorization | BudgetExceeded
 @lru_cache(maxsize=1 << 15)
 def _proved_prime(m: int) -> bool:
     # a prime out of a Brent split comes back alone, as factorize(p) from
-    # _order_of_ten or as a piece Phi_m(10), and reads its proof from here
+    # _order_of_ten, and reads its proof from here
     return _isprime(m)
 
 
@@ -430,56 +430,6 @@ def repetition_number(k: int, digits: int) -> int:
     if k < 1 or digits < 1:
         raise ValueError("repetition_number requires k >= 1 and digits >= 1")
     return (10 ** (digits * k) - 1) // (10**digits - 1)
-
-
-def cyclotomic_value(m: int) -> int:
-    """The cyclotomic polynomial Phi_m evaluated at 10, exactly.
-
-    Computed as the Moebius product of 10**e - 1 over the divisors e of m:
-    the factors where mu(m/e) = +1 multiplied, those where it is -1 divided
-    out.
-    """
-    if m < 1:
-        raise ValueError("cyclotomic_value requires m >= 1")
-    # (d, Moebius value of d) for the squarefree divisors d = m/e of m; the
-    # other divisors have Moebius value 0 and contribute nothing
-    moebius = [(1, 1)]
-    for p, _ in factorize(m):
-        moebius += [(d * p, -mu) for d, mu in moebius]
-    num = den = 1
-    for d, mu in moebius:
-        if mu > 0:
-            num *= 10 ** (m // d) - 1
-        else:
-            den *= 10 ** (m // d) - 1
-    value, rem = divmod(num, den)
-    assert rem == 0
-    return value
-
-
-def repetition_factorization(k: int, digits: int, budget: int = DEFAULT_BUDGET) -> Factorization:
-    """Factorization of repetition_number(k, digits), split along the
-    cyclotomic factors of 10**(digits*k) - 1.
-
-    The repetition number is the product of Phi_m(10) over the m dividing
-    digits*k but not digits; each piece is factored by factorize() with the
-    full budget of its own, so a BudgetExceeded names the resisting cofactor
-    of one Phi_m(10), not of the whole repetition number.  The product of the
-    merged pieces is checked against repetition_number().
-    """
-    return _repetition_factorization(k, digits, budget)
-
-
-@lru_cache(maxsize=1 << 10)
-def _repetition_factorization(k: int, digits: int, budget: int) -> Factorization:
-    if k < 1 or digits < 1:
-        raise ValueError("repetition_factorization requires k >= 1 and digits >= 1")
-    out = Factorization(())
-    for m in divisors(digits * k):
-        if digits % m:
-            out = out.merge(factorize(cyclotomic_value(m), budget))
-    assert out.value() == repetition_number(k, digits)
-    return out
 
 
 def concat(n: int, k: int) -> int:

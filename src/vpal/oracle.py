@@ -7,7 +7,9 @@ between the two is evidence, not tautology.  Direct mode builds the
 concatenated integer and its digit reversal and factors both; factorize
 memoizes the split of what trial division leaves, so the two, and every
 concatenation with the same repetition cofactor, split it once.  Accelerated
-mode merges the factorizations of n, its reversal and the repetition number.
+mode factors only n and its reversal: the part of the repetition number
+coprime to both adds the same to either factorization sum, so only its
+primes shared with n or the reversal are read, by their valuations.
 verify and cross_check read the pipeline's analyze; search_iter decides each
 n from the pipeline's memo and builds a report for each hit.
 """
@@ -33,15 +35,13 @@ from .indicator import (
 )
 from .numbers import (
     DEFAULT_BUDGET,
+    Factorization,
     check_eligible,
     concat,
     digit_count,
     factorization_sum_of,
     factorize,
     is_v_palindrome,
-    padic_order,
-    repetition_factorization,
-    repetition_number,
     reverse_digits,
 )
 
@@ -69,29 +69,52 @@ def brute_force_flag(
     both integers.  Both leave the same cofactor of the repetition number
     after trial division, and factorize memoizes its split, so it is split
     once here and for every n below 10^4 of the same width and k; the budget
-    still meters each factorization as before.  Accelerated mode factors n,
-    its reversal, and the repetition number separately and merges exponents;
-    this is sound because the concatenation is n times the repetition number
-    and, when 10 does not divide n, reversal distributes over the repetition.
-    The repetition number is factored piece by piece along its cyclotomic
-    factors Phi_m(10) (repetition_factorization), each piece with the full
-    budget.
+    still meters each factorization as before.  Accelerated mode uses that
+    the concatenation is n * R and, when 10 does not divide n, its reversal
+    is rev(n) * R, with R the repetition number.  Write R = A * B, A holding
+    the primes of n and rev(n).  B is coprime to n * A and to rev(n) * A,
+    and the factorization sum adds over coprime parts, so the two sums
+    differ exactly as those of n * A and rev(n) * A do: only n and rev(n)
+    are factored, and A is read from the valuations of R at their primes.
     Returns UNVERIFIED instead of raising when the factoring budget runs out:
-    in direct mode on either integer, in accelerated mode on n, its reversal
-    or a single Phi_m(10) piece.
+    in direct mode on either integer, in accelerated mode on n or its
+    reversal.
     """
     check_eligible(n)
     if k < 1:
         raise ValueError("brute_force_flag requires k >= 1")
     try:
         if accelerated:
-            rep = repetition_factorization(k, digit_count(n), budget)
-            left = factorization_sum_of(factorize(n, budget).merge(rep))
-            right = factorization_sum_of(factorize(reverse_digits(n), budget).merge(rep))
-            return left == right
+            left, right = factorize(n, budget), factorize(reverse_digits(n), budget)
+            exponents = {p: _repetition_valuation(p, k, digit_count(n)) for p, _ in left.merge(right)}
+            shared = Factorization(tuple((p, v) for p, v in exponents.items() if v))
+            return factorization_sum_of(left.merge(shared)) == factorization_sum_of(right.merge(shared))
         return is_v_palindrome(concat(n, k), budget)
     except BudgetExceeded:
         return UNVERIFIED
+
+
+def _repetition_valuation(p: int, k: int, digits: int) -> int:
+    """The exponent of the prime p in repetition_number(k, digits).
+
+    The repetition number is (10**(digits*k) - 1) / (10**digits - 1), so its
+    exponent is the difference of theirs.  Each is read from the residue of
+    10**m - 1 modulo p**e, e doubled until that residue is not 0: below e
+    the residue has the exponent of 10**m - 1 itself.  Neither power of ten
+    is built.  For p = 2 and 5 the first residue is -1, and the exponent is
+    0.
+    """
+    exponents = []
+    for m in (digits * k, digits):
+        e = 1
+        while (residue := pow(10, m, p**e) - 1) == 0:
+            e *= 2
+        v = 0
+        while residue % p == 0:
+            residue //= p
+            v += 1
+        exponents.append(v)
+    return exponents[0] - exponents[1]
 
 
 @dataclass(frozen=True)
@@ -130,15 +153,15 @@ def verify(
 def cross_check(n: int, k: int) -> bool:
     """Check the constraint encoding against direct p-adic computation.
 
-    For every characteristic solution, the weight tuple computed on the
-    explicit repetition number must match the solution exactly when k lies in
-    the solution's divisibility set.  Returns True when every solution's two
-    verdicts agree (including the no-match case).
+    For every characteristic solution, the weight tuple computed from the
+    repetition number's own valuations must match the solution exactly when
+    k lies in the solution's divisibility set.  Returns True when every
+    solution's two verdicts agree (including the no-match case).
     """
     report = analyze(n)
-    rep = repetition_number(k, report.digits)
     weights = tuple(
-        balance_weight(r.p, abs(r.delta), r.mu + padic_order(rep, r.p)) for r in report.records
+        balance_weight(r.p, abs(r.delta), r.mu + _repetition_valuation(r.p, k, report.digits))
+        for r in report.records
     )
     for cons in report.constraints:
         direct = weights == cons.solution

@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--accelerated",
         action="store_true",
-        help="factor base, reversal, and repetition number separately",
+        help="factor only n and its reversal; read the repetition number at their primes",
     )
 
     p = sub.add_parser("table", help="indicator/order/period table for several numbers")

@@ -286,18 +286,21 @@ class TestVerify:
         assert lines[1] == "1,True,True,True"
 
     def test_strict_budget_exit(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "--budget", "10000", "verify", "48", "--kmax", "22", "--strict", "--accelerated"
-        )
+        code, out, _ = run_cli(capsys, "--budget", "10000", "verify", "48", "--kmax", "22", "--strict")
         assert code == EXIT_BUDGET
         assert "UNVERIFIED" in out
 
     def test_unverified_rows_exit_0_without_strict(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "--budget", "10000", "verify", "48", "--kmax", "22", "--accelerated"
-        )
+        code, out, _ = run_cli(capsys, "--budget", "10000", "verify", "48", "--kmax", "22")
         assert code == EXIT_OK
         assert "UNVERIFIED" in out
+
+    def test_accelerated_decides_every_row_to_k_25(self, capsys):
+        # regression: k = 23 of 103 was UNVERIFIED while the accelerated
+        # oracle factored the repetition number
+        code, out, _ = run_cli(capsys, "verify", "103", "--kmax", "25", "--accelerated", "--strict")
+        assert code == EXIT_OK
+        assert "0 disagreements, 0 unverified" in out
 
     def test_disagreement_exit(self, capsys, monkeypatch):
         import vpal.cli

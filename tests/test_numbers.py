@@ -20,18 +20,14 @@ from vpal import (
     BudgetExceeded,
     Factorization,
     analyze,
-    brute_force_flag,
     concat,
-    cyclotomic_value,
     digit_count,
     divisors,
-    evaluate,
     factorization_sum,
     factorize,
     is_v_palindrome,
     multiplicative_order,
     padic_order,
-    repetition_factorization,
     repetition_number,
     repetition_order,
     reverse_digits,
@@ -47,7 +43,6 @@ from vpal.numbers import (
     _proved_prime,
     _isprime,
     _order_of_ten,
-    _repetition_factorization,
     _repetition_order,
     _strong_lucas_probable_prime,
 )
@@ -383,49 +378,6 @@ class TestRepetitionNumber:
         assert digit_count(r) == d * (k - 1) + 1
 
 
-class TestCyclotomicSplit:
-    def test_cyclotomic_value_matches_sympy(self):
-        for m in range(1, 101):
-            assert cyclotomic_value(m) == sympy.cyclotomic_poly(m, 10), m
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            cyclotomic_value(0)
-        with pytest.raises(ValueError):
-            repetition_factorization(0, 2)
-
-    def test_every_spelling_is_one_memo_entry(self):
-        _repetition_factorization.cache_clear()
-        repetition_factorization(7, 2)
-        repetition_factorization(7, 2, DEFAULT_BUDGET)
-        repetition_factorization(7, 2, budget=DEFAULT_BUDGET)
-        info = _repetition_factorization.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_whole_number_factorization(self, d):
-        for k in range(1, 40 // d + 1):
-            split = repetition_factorization(k, d)
-            try:
-                whole = factorize(repetition_number(k, d), budget=10**6)
-            except BudgetExceeded:
-                # d*k = 38: the whole number keeps two balanced 18- and
-                # 19-digit primes that Brent's method cannot separate in time
-                assert d * k == 38
-                assert split.value() == repetition_number(k, d)
-                assert all(sympy.isprime(p) for p, _ in split)
-                continue
-            assert split == whole, (k, d)
-
-    @pytest.mark.parametrize("k", [19, 23])
-    def test_accelerated_flag_decided_past_k_18(self, k):
-        # regression: the accelerated oracle used to factor R_k(2) whole and
-        # ran out of budget (UNVERIFIED) at k = 19 and k = 23
-        flag = brute_force_flag(48, k, accelerated=True)
-        assert type(flag) is bool
-        assert flag == (evaluate(analyze(48).combination, k) == 1)
-
-
 class TestConcat:
     def test_known_values(self):
         assert concat(18, 3) == 181818
@@ -642,7 +594,6 @@ class TestBudgetDefault:
         "factorize",
         "factorization_sum",
         "is_v_palindrome",
-        "repetition_factorization",
         "multiplicative_order",
         "repetition_order",
         "crucial_primes",

@@ -17,13 +17,15 @@ from vpal import (
     cross_check,
     analyze,
     evaluate,
+    padic_order,
+    repetition_number,
     reverse_digits,
     search_iter,
     verify,
 )
 from vpal import indicator, oracle
-from vpal.numbers import _repetition_factorization
-from vpal.oracle import CHUNK_SIZE
+from vpal.numbers import _factorize_cached
+from vpal.oracle import CHUNK_SIZE, _repetition_valuation
 
 
 def eligible(n):
@@ -60,23 +62,43 @@ class TestBruteForce:
 
     def test_reads_nothing_of_the_pipeline(self):
         # the oracle is evidence only while it shares no code with the
-        # indicator pipeline: every global it reads comes from these modules
-        used = inspect.getclosurevars(brute_force_flag).globals
-        outside = {
-            name: value.__module__
-            for name, value in used.items()
-            if value.__module__ not in ("vpal.numbers", "vpal.errors", "vpal.oracle")
-        }
-        assert "check_eligible" in used and outside == {}
+        # indicator pipeline: every global it reads comes from these modules,
+        # and none is the pipeline's lifting of orders
+        for func in (brute_force_flag, _repetition_valuation):
+            used = inspect.getclosurevars(func).globals
+            outside = {
+                name: value.__module__
+                for name, value in used.items()
+                if value.__module__ not in ("vpal.numbers", "vpal.errors", "vpal.oracle")
+            }
+            assert outside == {}, func
+            assert not {"repetition_order", "_order_of_ten", "multiplicative_order"} & set(used), func
+        assert "check_eligible" in inspect.getclosurevars(brute_force_flag).globals
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_repetition_valuation_matches_the_built_number(self, d):
+        # 3, 11 and 37 divide 10**d - 1 for some d <= 3, so the subtraction matters
+        for k in range(1, 41):
+            rep = repetition_number(k, d)
+            for p in (2, 3, 5, 7, 11, 13, 37, 41, 101, 271):
+                assert _repetition_valuation(p, k, d) == padic_order(rep, p), (p, k, d)
+
+    @pytest.mark.parametrize("k", [19, 23])
+    def test_accelerated_flag_decided_past_k_18(self, k):
+        # regression: the accelerated oracle used to factor R_k(2) and ran out
+        # of budget (UNVERIFIED) at k = 19 and k = 23
+        flag = brute_force_flag(48, k, accelerated=True)
+        assert type(flag) is bool
+        assert flag == (evaluate(analyze(48).combination, k) == 1)
 
     def test_every_spelling_of_the_default_budget_is_one_memo_entry(self):
-        # regression: budget None reached repetition_factorization as its own
-        # cache key, so the default spelled two ways factored every k twice
-        _repetition_factorization.cache_clear()
+        # regression: budget None reached the factoring memo as its own cache
+        # key, so the default spelled two ways factored every integer twice
+        _factorize_cached.cache_clear()
         verify(48, 20, accelerated=True)
+        misses = _factorize_cached.cache_info().misses
         verify(48, 20, DEFAULT_BUDGET, accelerated=True)
-        info = _repetition_factorization.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (20, 20, 20)
+        assert misses and _factorize_cached.cache_info().misses == misses
 
 
 class TestVerify:
@@ -102,7 +124,8 @@ class TestVerify:
             assert r.agrees in (True, None)
 
     def test_row_agreement_semantics(self):
-        rows = verify(48, 22, budget=10_000, accelerated=True)
+        # direct mode: the concatenations at k = 13, 17, 19 and 22 resist at 10^4
+        rows = verify(48, 22, budget=10_000)
         skipped = [r for r in rows if r.agrees is None]
         assert skipped and all(isinstance(r.observed, Unverified) for r in skipped)
 
@@ -117,6 +140,24 @@ class TestVerify:
                 assert row.agrees is True, (n, row.k, row.observed)
                 rows += 1
         assert rows == 18_432
+
+    def test_accelerated_sweep_to_the_fundamental_period(self):
+        # every eligible n <= 2100 to k = min(omega0, 200): 152,903 rows;
+        # and 126 over two of its fundamental periods, k <= 7084
+        rows = 0
+        for n in range(10, 2101):
+            if not eligible(n):
+                continue
+            report = analyze(n)
+            for k in range(1, min(report.omega0, 200) + 1):
+                expected = evaluate(report.combination, k) == 1
+                assert brute_force_flag(n, k, accelerated=True) is expected, (n, k)
+                rows += 1
+        assert rows == 152_903
+        comb = analyze(126).combination
+        assert analyze(126).omega0 == 3542
+        for k in range(1, 2 * 3542 + 1):
+            assert brute_force_flag(126, k, accelerated=True) is (evaluate(comb, k) == 1), k
 
     def test_unverified_is_a_singleton(self):
         assert Unverified() is UNVERIFIED
