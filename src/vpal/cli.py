@@ -23,7 +23,6 @@ from .indicator import AnalysisReport, analyze
 from .numbers import DEFAULT_BUDGET
 from .oracle import (
     SearchProperty,
-    Unverified,
     anomaly_witness,
     search_iter,
     verify,
@@ -164,15 +163,12 @@ def render_report(report: AnalysisReport) -> str:
             row = [cells[solution[j]] for solution in report.solutions]
             case_rows.append([str(r.p)] + [case for case, _ in row])
             pair_rows.append([str(r.p)] + [pair for _, pair in row])
-        pair_rows.append(["A"] + [_fmt_set(c.required) for c in report.constraints])
-        pair_rows.append(["B"] + [_fmt_set(c.excluded) for c in report.constraints])
-        pair_rows.append(
-            ["S"]
-            + [
-                "-" if c.degenerate else f"S({_fmt_set(c.required)},{_fmt_set(c.excluded)})"
-                for c in report.constraints
-            ]
-        )
+        a_row = ["A"] + [_fmt_set(c.required) for c in report.constraints]
+        b_row = ["B"] + [_fmt_set(c.excluded) for c in report.constraints]
+        s_row = ["S"] + [
+            "-" if c.degenerate else f"S({a},{b})" for c, a, b in zip(report.constraints, a_row[1:], b_row[1:])
+        ]
+        pair_rows += [a_row, b_row, s_row]
         lines += ["", "case table:", _columns(case_rows), "", "constraint table:", _columns(pair_rows)]
     lines.append("")
     lines.append(f"I = {report.combination}")
@@ -196,42 +192,20 @@ def cmd_verify(args) -> int:
     rows = verify(args.n, args.kmax, args.budget, accelerated=args.accelerated)
     disagreements = sum(1 for r in rows if r.agrees is False)
     unverified = sum(1 for r in rows if r.agrees is None)
-
-    def obs(row):
-        return "UNVERIFIED" if isinstance(row.observed, Unverified) else row.observed
-
-    def agr(row):
-        return "SKIPPED" if row.agrees is None else row.agrees
-
+    header = ["k", "predicted", "observed", "agrees"]
+    grid = [
+        [str(r.k), str(r.predicted), str(r.observed), "SKIPPED" if r.agrees is None else str(r.agrees)]
+        for r in rows
+    ]
     if args.format == "json":
-
-        def scalar(value) -> str:  # a bool or a marker, which needs no escaping
-            return f'"{value}"' if isinstance(value, str) else "true" if value else "false"
-
-        payload = [
-            _object({
-                "k": f'"{r.k}"',
-                "predicted": scalar(r.predicted),
-                "observed": scalar(obs(r)),
-                "agrees": scalar(agr(r)),
-            }, "\n    ")
-            for r in rows
-        ]
+        literals = {"True": "true", "False": "false"}  # every other cell is a string needing no escaping
+        payload = [_object({h: literals.get(c, f'"{c}"') for h, c in zip(header, row)}, "\n    ") for row in grid]
         print(_object({"n": f'"{args.n}"', "rows": _array(payload, "\n  ")}, "\n"))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["k", "predicted", "observed", "agrees"])
-        for r in rows:
-            writer.writerow([r.k, r.predicted, obs(r), agr(r)])
+        csv.writer(sys.stdout).writerows([header] + grid)
     else:
-        table = [["k", "predicted", "observed", "agrees"]]
-        for r in rows:
-            table.append([str(r.k), str(r.predicted), str(obs(r)), str(agr(r))])
-        print(_columns(table))
-        print(
-            f"summary: {len(rows)} rows, {disagreements} disagreements, "
-            f"{unverified} unverified"
-        )
+        print(_columns([header] + grid))
+        print(f"summary: {len(rows)} rows, {disagreements} disagreements, {unverified} unverified")
     if disagreements:
         return EXIT_DISAGREEMENT
     if args.strict and unverified:
@@ -250,18 +224,13 @@ def cmd_table(args) -> int:
     if args.format == "json":
         print(table_json(reports))
         return EXIT_OK
+    grid = [["n", "I", "c", "omega0"]]
+    grid += [[str(r.n), str(r.combination), str(r.order), str(r.omega0)] for r in reports]
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "I", "c", "omega0"])
-        for r in reports:
-            writer.writerow([r.n, r.combination, r.order, r.omega0])
+        csv.writer(sys.stdout).writerows(grid)
         return EXIT_OK
-    rows = [["n", "I", "c", "omega0", ""]]
-    for r in reports:
-        rows.append(
-            [str(r.n), str(r.combination), str(r.order), str(r.omega0), "[*]" if r.n in notes else ""]
-        )
-    print(_columns(rows))
+    marks = [""] + ["[*]" if r.n in notes else "" for r in reports]
+    print(_columns([row + [mark] for row, mark in zip(grid, marks)]))
     for n, note in sorted(notes.items()):
         if any(r.n == n for r in reports):
             print(f"[*] n={n}: {note}")
@@ -272,7 +241,7 @@ def cmd_search(args) -> int:
     prop = SearchProperty(args.property)
     scan = search_iter(args.until, prop, args.workers, args.budget, range_start=args.start)
     for report in scan:
-        witness = anomaly_witness(report) if prop is SearchProperty.DIVISIBILITY_ANOMALY else None
+        witness = anomaly_witness(report.combination) if prop is SearchProperty.DIVISIBILITY_ANOMALY else None
         if args.format == "json":
             payload = {
                 "n": str(report.n),

@@ -184,17 +184,8 @@ class Factorization:
     def __iter__(self):
         return iter(self.factors)
 
-    def __len__(self):
-        return len(self.factors)
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
-
-    def value(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
     def merge(self, other: "Factorization") -> "Factorization":
         """Factorization of the product: exponents added prime by prime."""

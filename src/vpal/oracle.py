@@ -42,6 +42,7 @@ from .numbers import (
     factorization_sum_of,
     factorize,
     is_v_palindrome,
+    padic_order,
     reverse_digits,
 )
 
@@ -98,23 +99,18 @@ def _repetition_valuation(p: int, k: int, digits: int) -> int:
     """The exponent of the prime p in repetition_number(k, digits).
 
     The repetition number is (10**(digits*k) - 1) / (10**digits - 1), so its
-    exponent is the difference of theirs.  Each is read from the residue of
-    10**m - 1 modulo p**e, e doubled until that residue is not 0: below e
-    the residue has the exponent of 10**m - 1 itself.  Neither power of ten
-    is built.  For p = 2 and 5 the first residue is -1, and the exponent is
-    0.
+    exponent is the difference of theirs.  That of 10**(digits*k) - 1 is read
+    from its residue modulo p**e, e doubled until that residue is not 0:
+    below e the residue has the exponent of the number itself, which is never
+    built.  For p = 2 and 5 the exponent is 0: the repetition number is 1
+    modulo 10.
     """
-    exponents = []
-    for m in (digits * k, digits):
-        e = 1
-        while (residue := pow(10, m, p**e) - 1) == 0:
-            e *= 2
-        v = 0
-        while residue % p == 0:
-            residue //= p
-            v += 1
-        exponents.append(v)
-    return exponents[0] - exponents[1]
+    if p in (2, 5):
+        return 0
+    e = 1
+    while (residue := pow(10, digits * k, p**e) - 1) == 0:
+        e *= 2
+    return padic_order(residue, p) - padic_order(10**digits - 1, p)
 
 
 @dataclass(frozen=True)
@@ -182,13 +178,9 @@ class SearchProperty(Enum):
     DIVISIBILITY_ANOMALY = "anomaly"
 
 
-def anomaly_witness(report: AnalysisReport) -> tuple[int, int] | None:
+def anomaly_witness(comb: IndicatorCombination) -> tuple[int, int] | None:
     """The first indicator modulus that fails to divide the largest one,
     paired with that largest modulus."""
-    return _witness(report.combination)
-
-
-def _witness(comb: IndicatorCombination) -> tuple[int, int] | None:
     if not comb.terms:
         return None
     largest = comb.terms[-1][0]
@@ -203,7 +195,7 @@ def _is_hit(comb: IndicatorCombination, omega_f: int, omega_b: int, prop: Search
         return fundamental_period(comb) not in (1, omega_f)
     if prop is SearchProperty.OMEGA_B_COUNTEREXAMPLE:
         return fundamental_period(comb) not in (1, omega_b)
-    return _witness(comb) is not None
+    return anomaly_witness(comb) is not None
 
 
 def _eligible(n: int) -> bool:

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import eq, mul
 from typing import Union
 
 from .errors import InvalidInput
@@ -185,22 +185,19 @@ def naive_fundamental_period(s: PeriodicSamples) -> int:
     samples.  Exact comparison for int/Fraction entries, ZERO_TOLERANCE
     otherwise; raises InvalidInput for non-exact samples so large that their
     differences could overflow."""
-    w = s.period
     vals = s.values
-    exact = all(_is_exact(v) for v in vals)
-    if not exact:
+    if all(_is_exact(v) for v in vals):
+        same = eq
+    else:
         _largest_magnitude(vals)
-    for t in divisors(w):
-        if exact:
-            ok = all(vals[(i + t) % w] == vals[i] for i in range(w))
-        else:
-            ok = all(
-                abs(complex(vals[(i + t) % w]) - complex(vals[i])) <= ZERO_TOLERANCE
-                for i in range(w)
-            )
-        if ok:
+
+        def same(a, b):
+            return abs(complex(a) - complex(b)) <= ZERO_TOLERANCE
+
+    for t in divisors(s.period):
+        if all(map(same, vals[t:] + vals[:t], vals)):
             return t
-    return w
+    return s.period
 
 
 def indicator_spectrum(a: int) -> Spectrum:

@@ -169,7 +169,7 @@ def test_criterion_3_counterexample_searches():
         report = hits[0]
         assert report.combination.terms == REFERENCE_ANOMALY_21726
         assert len(report.combination.terms) == 12
-        assert anomaly_witness(report) == (816, 2197734)
+        assert anomaly_witness(report.combination) == (816, 2197734)
         assert 2197734 % 816 != 0
 
 

@@ -41,11 +41,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-#: sha256 of the pretty stdout of the 165-solution walkthrough and of the
-#: paper's table, recorded with the library at commit 9431f68
+#: sha256 of the stdout of the 165-solution walkthrough and of the paper's
+#: table, recorded with the library at commit 9431f68, and of verify's three
+#: formats, the CSV tables and the first anomaly's witness line, recorded at
+#: commit fbd5d83
 PRETTY_SHA256 = {
     ("analyze", "1308276133167003"): "f3595f2cfdaa960fbf49775ed99f37ee6266ea2722b89c6d0d362b004cdb510c",
     ("table", "--preset", "paper"): "9644eedf88e68d4595e1a26f5e7f5d850e71ba4271c7c3a29787c78ac5a19be0",
+    # direct mode with UNVERIFIED observations and SKIPPED agreements
+    ("--budget", "10000", "verify", "48", "--kmax", "22"):
+        "c12d54835846d4738bc76f89ed82c95339bba813366275e1f85ad9dffe2b7f60",
+    ("--budget", "10000", "--format", "csv", "verify", "48", "--kmax", "22"):
+        "7d330c75a1d9f4a0fedd967f1692fb70a6caa946343e73a08a49652e922c1f3b",
+    ("--budget", "10000", "--format", "json", "verify", "48", "--kmax", "22"):
+        "daf419e8c2cd4daf76617d67a8c4488e77ad1d221c0395da70d152f615c74310",
+    ("--format", "csv", "table", "--preset", "paper"): "a75c21664fd80ef5431701b3cdea99f02d429e92f254b05b926a081efec60400",
+    ("--format", "csv", "table", "48", "56", "122"): "aaa9d5e082820b66693b4b24479777b0bbebcc0b25aebdad7dcb2a3365eec1e5",
+    ("search", "anomaly", "--until", "22000"): "e2dbcd7b88355f3e6618f0e4b999b16f919d51e564627799b580ab48cf30c0af",
 }
 
 
@@ -79,7 +91,20 @@ ARGPARSE_REJECTS = {
 
 
 class TestAnalyze:
-    @pytest.mark.parametrize("argv", list(PRETTY_SHA256), ids=["analyze-anchor", "table-preset"])
+    @pytest.mark.parametrize(
+        "argv",
+        list(PRETTY_SHA256),
+        ids=[
+            "analyze-anchor",
+            "table-preset",
+            "verify-unverified",
+            "verify-unverified-csv",
+            "verify-unverified-json",
+            "table-preset-csv",
+            "table-csv",
+            "search-anomaly-witness",
+        ],
+    )
     def test_pretty_output_pinned(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK

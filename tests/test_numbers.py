@@ -88,7 +88,7 @@ class TestFactorize:
             n = rng.randint(2, 10**12)
             f = factorize(n)
             assert f.as_dict() == sympy.factorint(n)
-            assert f.value() == n
+            assert math.prod(p**e for p, e in f) == n
             assert all(sympy.isprime(p) for p, _ in f)
 
     def test_large_composite(self):
@@ -231,7 +231,7 @@ class TestFactorize:
     def test_merge(self):
         a = factorize(56056)
         b = factorize(65065)
-        assert a.merge(b).value() == 56056 * 65065
+        assert math.prod(p**e for p, e in a.merge(b)) == 56056 * 65065
 
     def test_validation(self):
         with pytest.raises(ValueError):

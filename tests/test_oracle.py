@@ -9,6 +9,7 @@ import pytest
 from vpal import (
     DEFAULT_BUDGET,
     UNVERIFIED,
+    IndicatorCombination,
     InvalidInput,
     SearchProperty,
     Unverified,
@@ -162,6 +163,7 @@ class TestVerify:
     def test_unverified_is_a_singleton(self):
         assert Unverified() is UNVERIFIED
         assert repr(UNVERIFIED) == "UNVERIFIED"
+        assert str(UNVERIFIED) == "UNVERIFIED"  # the CLI renders verify's cells through str
 
 
 class TestCrossCheck:
@@ -249,8 +251,13 @@ class TestSearch:
         assert list(search_iter(1000, SearchProperty.DIVISIBILITY_ANOMALY)) == []
 
     def test_anomaly_witness_none_for_clean_reports(self):
-        assert anomaly_witness(analyze(126)) is None
-        assert anomaly_witness(analyze(12)) is None
+        assert anomaly_witness(analyze(126).combination) is None
+        assert anomaly_witness(analyze(12).combination) is None
+
+    def test_anomaly_witness_of_hand_built_combinations(self):
+        assert anomaly_witness(IndicatorCombination(())) is None
+        assert anomaly_witness(IndicatorCombination(((2, 1), (4, -1)))) is None
+        assert anomaly_witness(IndicatorCombination(((5, 1), (12, 1)))) == (5, 12)
 
 
 
@@ -261,7 +268,7 @@ def report_is_hit(report, prop):
         return report.omega0 not in (1, report.omega_f)
     if prop is SearchProperty.OMEGA_B_COUNTEREXAMPLE:
         return report.omega0 not in (1, report.omega_b)
-    return anomaly_witness(report) is not None
+    return anomaly_witness(report.combination) is not None
 
 
 @functools.cache
@@ -284,7 +291,7 @@ class TestScanDecidesFromThePipeline:
     def test_first_anomaly_from_its_band(self):
         hits = list(search_iter(21800, SearchProperty.DIVISIBILITY_ANOMALY, range_start=21700))
         assert [r.n for r in hits] == [21726]
-        assert anomaly_witness(hits[0]) == (816, 2197734)
+        assert anomaly_witness(hits[0].combination) == (816, 2197734)
 
     def test_builds_reports_for_hits_only(self, monkeypatch):
         built = []

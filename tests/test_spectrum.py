@@ -179,7 +179,7 @@ class TestTransformTable:
 
     def test_bit_identical_to_direct_formula(self):
         # a prime-power window has one axis, summed in order of x like the formula
-        for values in self._windows(keep=lambda w: len(factorize(w)) <= 1):
+        for values in self._windows(keep=lambda w: len(factorize(w).factors) <= 1):
             w = len(values)
             s = PeriodicSamples(tuple(values))
             inverse = _direct_transform(values, -1)
@@ -193,7 +193,7 @@ class TestTransformTable:
 
     def test_composite_lengths_within_rounding_floor(self):
         # several axes sum in another order: only the rounding may change
-        for values in self._windows(keep=lambda w: len(factorize(w)) > 1 and w <= 256):
+        for values in self._windows(keep=lambda w: len(factorize(w).factors) > 1 and w <= 256):
             w = len(values)
             floor = w * sys.float_info.epsilon * max(abs(complex(v)) for v in values)
             s = PeriodicSamples(tuple(values))
@@ -345,6 +345,11 @@ class TestPeriodFormulas:
     def test_naive_examples(self):
         assert naive_fundamental_period(PeriodicSamples((1, 0, 1, 0))) == 2
         assert naive_fundamental_period(PeriodicSamples((1, 2, 3, 1, 2, 3))) == 3
+
+    def test_naive_compares_cyclically_within_tolerance(self):
+        # neighbours differ by 6e-10, within ZERO_TOLERANCE, but the wrapped
+        # pair by 1.8e-9: only a cyclic shift sees that no shift below 4 fits
+        assert naive_fundamental_period(PeriodicSamples((0.0, 6e-10, 1.2e-9, 1.8e-9))) == 4
 
     def test_naive_rejects_window_beyond_float_range(self):
         # |1.7e308+1.7e308j - 0j| is beyond the largest float
