@@ -374,6 +374,11 @@ def reverse_digits(n: int) -> int:
     return int(str(n)[::-1])
 
 
+def _eligible(n: int) -> bool:
+    """True when 10 does not divide n and n is not a palindrome (n >= 1)."""
+    return n % 10 != 0 and reverse_digits(n) != n
+
+
 def check_eligible(n: int) -> None:
     """Inputs must be positive, not multiples of 10, and not palindromes."""
     if n < 1:
@@ -404,12 +409,7 @@ def is_v_palindrome(n: int, budget: int = DEFAULT_BUDGET) -> bool:
     digit reversal have equal factorization sums."""
     if n < 1:
         raise ValueError("is_v_palindrome requires n >= 1")
-    if n % 10 == 0:
-        return False
-    rev = reverse_digits(n)
-    if rev == n:
-        return False
-    return factorization_sum(n, budget) == factorization_sum(rev, budget)
+    return _eligible(n) and factorization_sum(n, budget) == factorization_sum(reverse_digits(n), budget)
 
 
 def repetition_number(k: int, digits: int) -> int:

@@ -36,6 +36,7 @@ from .indicator import (
 from .numbers import (
     DEFAULT_BUDGET,
     Factorization,
+    _eligible,
     check_eligible,
     concat,
     digit_count,
@@ -196,10 +197,6 @@ def _is_hit(comb: IndicatorCombination, omega_f: int, omega_b: int, prop: Search
     if prop is SearchProperty.OMEGA_B_COUNTEREXAMPLE:
         return fundamental_period(comb) not in (1, omega_b)
     return anomaly_witness(comb) is not None
-
-
-def _eligible(n: int) -> bool:
-    return n % 10 != 0 and reverse_digits(n) != n
 
 
 def _scan_chunk(args: tuple[int, int, SearchProperty, int]) -> list[AnalysisReport]:

@@ -11,11 +11,15 @@ with 0 <= x < 1, stands for the root of unity e(x) = exp(2*pi*i*x), whose
 order is x.denominator.  Entries iterate by (denominator, numerator), and
 every coefficient in them is nonzero.
 
-`samples_to_spectrum` and `gcd_period` read one transform of the window,
-`PeriodicSamples._inverse`, whose coefficients below `_zero_threshold` are
-the module's one zero rule, so the two formulas agree on which coefficients
-count as zero.  The shift test, `naive_fundamental_period`, is the
-independent check.
+A `PeriodicSamples` window checks its samples when it is built: each must
+be a finite complex number, and the window length times the largest sample
+magnitude must be a float, so no transform sum or sample difference of a
+window that builds can overflow.  The same pass sets the window's zero
+threshold, the module's one zero rule.  `samples_to_spectrum` and
+`gcd_period` read one transform of the window, `PeriodicSamples._inverse`,
+which drops the coefficients below that threshold, so the two formulas agree
+on which coefficients count as zero.  The shift test,
+`naive_fundamental_period`, is the independent check.
 
 A window of length w with prime-power factors q_1 ... q_k is transformed
 along its Chinese-remainder axes (the prime-factor transform of I. J. Good,
@@ -40,8 +44,8 @@ from .numbers import divisors, factorize
 #: Transform coefficients below this magnitude count as zero, and non-exact
 #: samples closer than this count as equal.  A window of length w with largest
 #: sample magnitude V carries rounding error up to about w * epsilon * V in
-#: every coefficient, so the transforms raise their threshold to that floor
-#: when it is larger: for long windows of large samples.
+#: every coefficient, so each window raises its threshold to that floor when
+#: it is larger: for long windows of large samples.
 ZERO_TOLERANCE = 1e-9
 
 Coefficient = Union[int, Fraction, float, complex]
@@ -61,8 +65,27 @@ class PeriodicSamples:
     values: tuple
 
     def __post_init__(self):
+        """Reject a window that is empty, holds a non-finite sample, or is so
+        large that w * max|v| exceeds the largest float, and set `_threshold`:
+        ZERO_TOLERANCE, raised to the rounding floor of a transform of values."""
         if not self.values:
             raise ValueError("need at least one sample")
+        w = len(self.values)
+        try:
+            magnitudes = list(map(abs, map(complex, self.values)))
+        except OverflowError:  # an int beyond the float range, or |v| beyond it
+            magnitudes = [math.inf]
+        else:
+            if not all(map(math.isfinite, magnitudes)):
+                bad = next(v for v, m in zip(self.values, magnitudes) if not math.isfinite(m))
+                raise InvalidInput(f"sample {bad!r} is not a finite complex number")
+        scale = max(magnitudes)
+        if w * scale > sys.float_info.max:
+            raise InvalidInput(
+                f"samples too large: the window length {w} times the largest magnitude "
+                "exceeds the largest float"
+            )
+        object.__setattr__(self, "_threshold", max(ZERO_TOLERANCE, w * sys.float_info.epsilon * scale))
 
     @property
     def period(self) -> int:
@@ -71,10 +94,9 @@ class PeriodicSamples:
     @cached_property
     def _inverse(self) -> list[tuple[int, complex]]:
         """The pairs (r, c_r) of `_transform(values)` with |c_r| at or above
-        `_zero_threshold(values)`, transformed on first read: the support
+        the window's `_threshold`, transformed on first read: the support
         both frequency formulas read."""
-        threshold = _zero_threshold(self.values)
-        return [(r, c) for r, c in enumerate(_transform(self.values)) if abs(c) >= threshold]
+        return [(r, c) for r, c in enumerate(_transform(self.values)) if abs(c) >= self._threshold]
 
 
 def support_period(g: Spectrum) -> int:
@@ -96,8 +118,8 @@ def _transform(values) -> list[complex]:
     for r = sum of r_i*n_i.  Position (r_1, ..., r_k) then holds frequency
     sum of r_i*n_i mod w.  That costs w * (q_1 + ... + q_k) terms instead of
     w**2.  Each partial sum is still a sum of at most w samples times unit
-    roots, so the rounding floor of `_zero_threshold` and the overflow guard
-    of `_largest_magnitude` hold unchanged.
+    roots, so the rounding floor of `PeriodicSamples._threshold` and the
+    window's overflow check hold unchanged.
 
     Each axis reads one table of the q_i-th roots of unity, the float that
     exp(-2*pi*i * j / q_i) gives.  For a prime-power w (one axis) the
@@ -129,38 +151,12 @@ def _transform(values) -> list[complex]:
     return coeffs
 
 
-def _largest_magnitude(values) -> float:
-    """max|v| over the window.
-
-    Raises InvalidInput when w * max|v| exceeds the largest float, for a
-    window of length w: the transform's sums, or the differences of two
-    samples, could then overflow to an infinite or NaN value.
-    """
-    w = len(values)
-    try:
-        scale = max(abs(complex(v)) for v in values)
-    except OverflowError:
-        scale = math.inf
-    if w * scale > sys.float_info.max:
-        raise InvalidInput(
-            f"samples too large: the window length {w} times the largest magnitude "
-            "exceeds the largest float"
-        )
-    return scale
-
-
-def _zero_threshold(values) -> float:
-    """ZERO_TOLERANCE, raised to the rounding floor of a transform of values."""
-    return max(ZERO_TOLERANCE, len(values) * sys.float_info.epsilon * _largest_magnitude(values))
-
-
 def samples_to_spectrum(s: PeriodicSamples) -> Spectrum:
     """Invert one window of samples into root-of-unity coefficients.
 
     Good-Thomas inverse transform in w * (q_1 + ... + q_k) terms, for a
     window of length w with prime-power factors q_i (see `_transform`); the
     interpolant of the result reproduces the samples on all of the integers.
-    Raises InvalidInput for samples so large that the sums could overflow.
     """
     w = s.period
     roots = [(Fraction(r, w), c) for r, c in s._inverse]
@@ -183,14 +179,11 @@ def gcd_period(s: PeriodicSamples) -> int:
 def naive_fundamental_period(s: PeriodicSamples) -> int:
     """Smallest divisor of the window length whose cyclic shift fixes the
     samples.  Exact comparison for int/Fraction entries, ZERO_TOLERANCE
-    otherwise; raises InvalidInput for non-exact samples so large that their
-    differences could overflow."""
+    otherwise."""
     vals = s.values
     if all(_is_exact(v) for v in vals):
         same = eq
     else:
-        _largest_magnitude(vals)
-
         def same(a, b):
             return abs(complex(a) - complex(b)) <= ZERO_TOLERANCE
 

@@ -484,20 +484,21 @@ class TestSpectrum:
         assert "zebra" in err
 
     @pytest.mark.parametrize(
-        "samples",
-        ["nan,1", "1,inf,1,inf", "1+infj,2", "-inf", "1" + "0" * 400],
-        ids=["nan", "inf", "infj", "minus-inf", "int-too-large-for-float"],
+        "samples, named",
+        [("nan,1", "(nan+0j)"), ("1,inf,1,inf", "(inf+0j)"), ("1+infj,2", "(1+infj)"), ("-inf", "(-inf+0j)")],
+        ids=["nan", "inf", "infj", "minus-inf"],
     )
-    def test_non_finite_samples_rejected(self, capsys, samples):
+    def test_non_finite_samples_rejected(self, capsys, samples, named):
+        # the window rejects the parsed value, which the message names
         code, out, err = run_cli(capsys, "spectrum", "periods", f"--samples={samples}")
         assert code == EXIT_INVALID
         assert out == ""
-        assert err.startswith("error: ") and "not a finite complex number" in err
+        assert err == f"error: sample {named} is not a finite complex number\n"
 
     @pytest.mark.parametrize(
         "samples",
-        ["1e308,1e308,-1e308,-1e308", "1.7e308+1.7e308j"],
-        ids=["sums-reach-2e308", "magnitude-beyond-float"],
+        ["1e308,1e308,-1e308,-1e308", "1.7e308+1.7e308j", "1" + "0" * 400],
+        ids=["sums-reach-2e308", "magnitude-beyond-float", "int-too-large-for-float"],
     )
     def test_samples_overflowing_the_transform_rejected(self, capsys, samples):
         # every sample is finite, but the transform would overflow

@@ -19,7 +19,9 @@ from vpal import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Factorization,
+    InvalidInput,
     analyze,
+    check_eligible,
     concat,
     digit_count,
     divisors,
@@ -38,6 +40,7 @@ from vpal.indicator import _pipeline
 from vpal.numbers import (
     _MR_BOUND,
     _TRIAL_LIMIT,
+    _eligible,
     _factorize_cached,
     _factorize_survivor,
     _proved_prime,
@@ -362,6 +365,24 @@ class TestIsVPalindrome:
 
     def test_smallest_is_18(self):
         assert [n for n in range(1, 100) if is_v_palindrome(n)] == [18, 81]
+
+    def test_one_eligibility_rule(self):
+        # the bool and the raising check are the same rule, and is_v_palindrome
+        # keeps its definition through the bool
+        def rejected(n):
+            try:
+                check_eligible(n)
+            except InvalidInput:
+                return True
+            return False
+
+        def spelled_out(n):
+            rev = reverse_digits(n)
+            return n % 10 != 0 and rev != n and factorization_sum(n) == factorization_sum(rev)
+
+        for n in range(1, 5001):
+            assert _eligible(n) is not rejected(n), n
+            assert is_v_palindrome(n) == spelled_out(n), n
 
 
 class TestRepetitionNumber:

@@ -8,6 +8,8 @@ from fractions import Fraction
 from operator import sub
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vpal import (
     IndicatorCombination,
@@ -27,7 +29,7 @@ from vpal import (
 from vpal import spectrum
 from vpal.cli import main
 from vpal.numbers import factorize
-from vpal.spectrum import ZERO_TOLERANCE, _transform, _zero_threshold
+from vpal.spectrum import ZERO_TOLERANCE, _transform
 
 from spectral_inverse import eval_spectrum, spectrum_to_samples
 
@@ -82,6 +84,42 @@ class TestPeriodicSamples:
         with pytest.raises(ValueError):
             PeriodicSamples(())
 
+    @pytest.mark.parametrize(
+        "values",
+        [(math.nan, 0.0, math.nan, 0.0), (math.inf, 0.0), (complex(1, math.nan),)],
+        ids=["nan", "inf", "nan-imaginary"],
+    )
+    def test_non_finite_window_rejected(self, values):
+        # regression: the NaN window built, and gave naive period 4 but gcd
+        # and support period 1; the infinite one was called "too large"
+        with pytest.raises(InvalidInput, match="not a finite complex number"):
+            PeriodicSamples(values)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.complex_numbers(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=48,
+        ),
+        st.data(),
+    )
+    def test_a_window_that_builds_is_finite(self, values, data):
+        try:
+            s = PeriodicSamples(tuple(values))
+        except InvalidInput as exc:
+            assert "too large" in str(exc)
+            built = False
+        else:
+            assert support_period(samples_to_spectrum(s)) == gcd_period(s)
+            built = True
+        i = data.draw(st.integers(0, len(values) - 1))
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(InvalidInput, match="not a finite complex number" if built else None):
+            PeriodicSamples(tuple(values[:i] + [bad] + values[i + 1 :]))
+
 
 class TestSamplesToSpectrum:
     def test_constant(self):
@@ -119,11 +157,9 @@ class TestSamplesToSpectrum:
         ids=["sums-overflow", "w-times-max", "abs-overflows", "int-beyond-float"],
     )
     def test_window_beyond_float_range_rejected(self, values):
-        s = PeriodicSamples(values)
+        # the window checks itself, so no period formula meets it
         with pytest.raises(InvalidInput, match="too large"):
-            samples_to_spectrum(s)
-        with pytest.raises(InvalidInput, match="too large"):
-            gcd_period(s)
+            PeriodicSamples(values)
 
     def test_window_at_float_range_transforms_finitely(self):
         big = sys.float_info.max / 4
@@ -271,7 +307,7 @@ class TestSharedTransform:
     def test_gcd_period_alone_transforms_a_real_window_once(self, calls, values):
         w = len(values)
         forward = _direct_transform(values, +1)
-        threshold = _zero_threshold(values)
+        threshold = PeriodicSamples(values)._threshold
         expected = w // math.gcd(w, *(k for k in range(w) if abs(forward[k]) >= threshold))
         assert gcd_period(PeriodicSamples(values)) == expected
         assert calls == [values]
@@ -352,7 +388,8 @@ class TestPeriodFormulas:
         assert naive_fundamental_period(PeriodicSamples((0.0, 6e-10, 1.2e-9, 1.8e-9))) == 4
 
     def test_naive_rejects_window_beyond_float_range(self):
-        # |1.7e308+1.7e308j - 0j| is beyond the largest float
+        # |1.7e308+1.7e308j - 0j| is beyond the largest float, so the window
+        # itself refuses to build and no sample difference can overflow
         with pytest.raises(InvalidInput, match="too large"):
             naive_fundamental_period(PeriodicSamples((1.7e308 + 1.7e308j, 0j)))
 
