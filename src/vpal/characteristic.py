@@ -11,26 +11,24 @@ set and its least member (least_member) from the pairs it indexes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from typing import Iterable
 
 from .numbers import DEFAULT_BUDGET, check_eligible, factorize, repetition_order, reverse_digits
 
 
-@dataclass(frozen=True)
-class CrucialPrimeRecord:
+class CrucialPrimeRecord(namedtuple("CrucialPrimeRecord", "p exp_n exp_reverse")):
     """A prime whose exponent differs between n and reverse_digits(n)."""
 
-    p: int
-    exp_n: int
-    exp_reverse: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.exp_n == self.exp_reverse:
-            raise ValueError(f"{self.p} has equal exponents on both sides")
+    def __new__(cls, p: int, exp_n: int, exp_reverse: int):
+        if exp_n == exp_reverse:
+            raise ValueError(f"{p} has equal exponents on both sides")
+        return super().__new__(cls, p, exp_n, exp_reverse)
 
     @property
     def delta(self) -> int:
@@ -53,8 +51,8 @@ def crucial_primes(n: int, budget: int = DEFAULT_BUDGET) -> tuple[CrucialPrimeRe
     be its reversal.
     """
     check_eligible(n)
-    fn = factorize(n, budget).as_dict()
-    fr = factorize(reverse_digits(n), budget).as_dict()
+    fn = dict(factorize(n, budget))
+    fr = dict(factorize(reverse_digits(n), budget))
     records = tuple(
         CrucialPrimeRecord(p, fn.get(p, 0), fr.get(p, 0))
         for p in sorted(set(fn) | set(fr))
@@ -110,13 +108,11 @@ class CaseLabel(Enum):
 _CASES = dict(zip([(0, 0), (1, 1), (0, 1), (1, None), (2, None), (0, None)], CaseLabel))
 
 
-@dataclass(frozen=True)
-class ConstraintPair:
+class ConstraintPair(namedtuple("ConstraintPair", "required excluded")):
     """Conditions on the repetition count k: k must be divisible by
-    everything in required and by nothing in excluded."""
+    everything in the frozenset required and by nothing in excluded."""
 
-    required: frozenset[int]
-    excluded: frozenset[int]
+    __slots__ = ()
 
 
 _EMPTY: frozenset[int] = frozenset()
@@ -234,19 +230,15 @@ def least_member(pairs: Iterable[ConstraintPair]) -> tuple[set[int], set[int], i
     return required, excluded, base
 
 
-@dataclass(frozen=True)
-class SolutionConstraints:
+class SolutionConstraints(namedtuple("SolutionConstraints", "solution required excluded degenerate")):
     """A characteristic solution (one weight per crucial prime) with its
-    assembled divisibility constraints.
+    assembled divisibility constraints, as frozensets of moduli.
 
     degenerate means the constraint set is unsatisfiable: some excluded
     modulus already divides the lcm of the required ones (least_member).
     """
 
-    solution: tuple[int, ...]
-    required: frozenset[int]
-    excluded: frozenset[int]
-    degenerate: bool
+    __slots__ = ()
 
 
 def assemble_constraints(

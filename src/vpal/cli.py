@@ -10,8 +10,6 @@ governs only verify's UNVERIFIED rows, which then exit 3 as well.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -201,6 +199,7 @@ def cmd_verify(args) -> int:
         payload = [_object({h: literals.get(c, f'"{c}"') for h, c in zip(header, row)}, "\n    ") for row in grid]
         print(_object({"n": f'"{args.n}"', "rows": _array(payload, "\n  ")}, "\n"))
     elif args.format == "csv":
+        import csv  # imported here: only CSV output pays for the csv module
         csv.writer(sys.stdout).writerows([header] + grid)
     else:
         print(_columns([header] + grid))
@@ -226,6 +225,7 @@ def cmd_table(args) -> int:
     grid = [["n", "I", "c", "omega0"]]
     grid += [[str(r.n), str(r.combination), str(r.order), str(r.omega0)] for r in reports]
     if args.format == "csv":
+        import csv  # imported here: only CSV output pays for the csv module
         csv.writer(sys.stdout).writerows(grid)
         return EXIT_OK
     marks = [""] + ["[*]" if r.n in notes else "" for r in reports]
@@ -237,6 +237,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_search(args) -> int:
+    import json  # imported here: only search pays for the json module
     prop = SearchProperty(args.property)
     scan = search_iter(args.until, prop, args.workers, args.budget, range_start=args.start)
     for report in scan:

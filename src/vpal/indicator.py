@@ -6,9 +6,9 @@ the two coarser period bounds omega_f and omega_b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property, lru_cache
-from typing import Iterable, Union
 
 from .characteristic import (
     CaseLabel,
@@ -26,7 +26,6 @@ from .characteristic import (
 )
 from .numbers import (
     DEFAULT_BUDGET,
-    Factorization,
     digit_count,
     factorize,
     repetition_order,
@@ -62,11 +61,10 @@ class Infinite(Singleton):
 
 INFINITE = Infinite()
 
-Order = Union[int, Infinite]
+Order = int | Infinite
 
 
-@dataclass(frozen=True)
-class IndicatorCombination:
+class IndicatorCombination(namedtuple("IndicatorCombination", "terms")):
     """Integer combination of divisibility indicators in canonical form:
     strictly increasing moduli, every coefficient nonzero.
 
@@ -74,19 +72,20 @@ class IndicatorCombination:
     function.
     """
 
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, terms: tuple[tuple[int, int], ...]):
         last = 0
-        for modulus, coeff in self.terms:
+        for modulus, coeff in terms:
             if modulus <= last:
                 raise ValueError("moduli must be strictly increasing")
             if coeff == 0:
                 raise ValueError("coefficients must be nonzero")
             last = modulus
+        return super().__new__(cls, terms)
 
     @classmethod
-    def collect(cls, pairs: Iterable[tuple[int, int]]) -> "IndicatorCombination":
+    def collect(cls, pairs: Iterable[tuple[int, int]]) -> IndicatorCombination:
         """Canonical form from arbitrary (modulus, coefficient) pairs: like
         terms added, zero coefficients dropped, moduli sorted."""
         acc: dict[int, int] = {}
@@ -95,8 +94,6 @@ class IndicatorCombination:
         return cls(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for i, (modulus, coeff) in enumerate(self.terms):
             mag = f"I_{modulus}" if abs(coeff) == 1 else f"{abs(coeff)}I_{modulus}"
@@ -104,7 +101,7 @@ class IndicatorCombination:
                 parts.append(mag if coeff > 0 else f"-{mag}")
             else:
                 parts.append(f"+ {mag}" if coeff > 0 else f"- {mag}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
 
 def evaluate(comb: IndicatorCombination, x: int) -> int:
@@ -137,30 +134,33 @@ def order(comb: IndicatorCombination) -> Order:
     return comb.terms[0][0] if comb.terms else INFINITE
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(namedtuple("AnalysisReport", "n reverse digits n_factorization reverse_factorization records "
+                                "combination order omega0 omega_f omega_b")):
     """Everything the pipeline derives for one number, kept together so the
     intermediate tables stay consistent with the final quantities.
 
     The characteristic solutions, each crucial prime's constraint table and
     every solution's constraints are read on first use (cached properties):
-    functions of records, digits and budget, they are left out of equality
-    and of the hash, so reports stay hashable.  The tables come from
+    functions of records, digits and budget, they sit beside the tuple with
+    budget, out of equality and the hash.  The tables come from
     constraint_table's memo, where the pipeline left them if it read them.
     """
 
-    n: int
-    reverse: int
-    digits: int
-    n_factorization: Factorization
-    reverse_factorization: Factorization
-    records: tuple[CrucialPrimeRecord, ...]
-    combination: IndicatorCombination
-    order: Order
-    omega0: int
-    omega_f: int
-    omega_b: int
-    budget: int = field(compare=False)
+    # budget has a default because unpickling calls __new__ with the tuple
+    # fields alone and then restores the instance dict, budget with it
+    def __new__(cls, n, reverse, digits, n_factorization, reverse_factorization, records, combination,
+                order, omega0, omega_f, omega_b, budget=DEFAULT_BUDGET):
+        self = super().__new__(cls, n, reverse, digits, n_factorization, reverse_factorization, records,
+                               combination, order, omega0, omega_f, omega_b)
+        self.__dict__["budget"] = budget
+        return self
+
+    @property
+    def budget(self) -> int:
+        return self.__dict__["budget"]
+
+    def __repr__(self) -> str:
+        return f"{super().__repr__()[:-1]}, budget={self.budget!r})"
 
     @cached_property
     def solutions(self) -> tuple[tuple[int, ...], ...]:

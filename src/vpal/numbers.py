@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceeded, InvalidInput
@@ -145,59 +144,76 @@ def _isprime(n: int) -> bool:
     return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
+@lru_cache(maxsize=None)
+def _residue_tests(k: int) -> tuple[tuple[int, int], ...]:
+    """(q, (q - 1) // k) for the first four primes q = 1 (mod k) below _TRIAL_LIMIT."""
+    return tuple((q, (q - 1) // k) for q in _SMALL_PRIMES if q % k == 1)[:4]
+
+
 def _perfect_power(m: int, exponents) -> tuple[int, int] | None:
-    """Some (root, k) with root**k == m and k among the exponents, or None."""
+    """Some (root, k) with root**k == m and k among the exponents, or None.
+
+    Modulo a prime q = 1 (mod k) a k-th power is 0 or an r with
+    r**((q - 1)/k) = 1, which a non-power passes with chance about 1/k, so
+    most exponents are rejected by _residue_tests(k) before a root is taken.
+    """
     for k in exponents:
-        if k == 2:
-            root = math.isqrt(m)
+        for q, e in _residue_tests(k):
+            r = m % q
+            if r and pow(r, e, q) != 1:
+                break
         else:
-            # integer Newton iteration, falling from an overestimate to the floor
-            root = 1 << -(-m.bit_length() // k)
-            while True:
-                step = ((k - 1) * root + m // root ** (k - 1)) // k
-                if step >= root:
-                    break
-                root = step
-        if root**k == m:
-            return root, k
+            if k == 2:
+                root = math.isqrt(m)
+            else:
+                # integer Newton iteration, falling from an overestimate to the floor
+                root = 1 << -(-m.bit_length() // k)
+                while True:
+                    step = ((k - 1) * root + m // root ** (k - 1)) // k
+                    if step >= root:
+                        break
+                    root = step
+            if root**k == m:
+                return root, k
     return None
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization as a sorted tuple of (prime, exponent) pairs.
+class Factorization(tuple):
+    """Complete prime factorization: a tuple of (prime, exponent) pairs,
+    primes increasing, built as Factorization(factors).
 
-    The empty tuple represents 1.
+    The empty tuple represents 1.  `factors` is the pairs as a plain tuple,
+    and dict(f) maps each prime to its exponent.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, factors: tuple[tuple[int, int], ...]):
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last:
                 raise ValueError("primes must be strictly increasing")
             if e < 1:
                 raise ValueError("exponents must be >= 1")
             last = p
+        return super().__new__(cls, factors)
 
-    def __iter__(self):
-        return iter(self.factors)
+    @property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
+    def __repr__(self) -> str:
+        return f"Factorization(factors={tuple(self)!r})"
 
-    def merge(self, other: "Factorization") -> "Factorization":
+    def merge(self, other: Factorization) -> Factorization:
         """Factorization of the product: exponents added prime by prime."""
-        counts = self.as_dict()
+        counts = dict(self)
         for p, e in other:
             counts[p] = counts.get(p, 0) + e
         return Factorization(tuple(sorted(counts.items())))
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
+        return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self) or "1"
 
 
 class _Budget:
@@ -311,7 +327,7 @@ def _factorize_cached(n: int, budget: int) -> Factorization | BudgetExceeded:
         rest = _factorize_survivor(rem, budget)
         if isinstance(rest, BudgetExceeded):
             return rest
-        counts.update(rest.factors)  # primes above _TRIAL_LIMIT, new to counts
+        counts.update(rest)  # primes above _TRIAL_LIMIT, new to counts
     elif rem > 1:
         counts[rem] = 1
     return Factorization(tuple(sorted(counts.items())))
@@ -394,9 +410,7 @@ def factorization_sum_of(factorization: Factorization) -> int:
 
     The empty factorization (the number 1) sums to 1 by convention.
     """
-    if not factorization.factors:
-        return 1
-    return sum(p + (e if e >= 2 else 0) for p, e in factorization)
+    return sum(p + (e if e >= 2 else 0) for p, e in factorization) or 1
 
 
 def factorization_sum(n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -494,7 +508,7 @@ def repetition_order(p: int, alpha: int, digits: int, budget: int = DEFAULT_BUDG
 @lru_cache(maxsize=1 << 14)
 def _order_of_ten(p: int, budget: int) -> int:
     # p is checked by its factorization, which multiplicative_order reads from the memo
-    if p < 2 or p in (2, 5) or factorize(p, budget).factors != ((p, 1),):
+    if p < 2 or p in (2, 5) or factorize(p, budget) != ((p, 1),):
         raise ValueError(f"repetition_order requires a prime other than 2 and 5, got {p}")
     return multiplicative_order(10, p, budget)
 

@@ -17,10 +17,8 @@ n from the pipeline's memo and builds a report for each hit.
 from __future__ import annotations
 
 import os
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from enum import Enum
-from typing import Union
 
 from .characteristic import balance_weight, in_divisibility_set
 from .errors import BudgetExceeded, InvalidInput
@@ -56,7 +54,7 @@ class Unverified(Singleton):
 
 UNVERIFIED = Unverified()
 
-Flag = Union[bool, Unverified]
+Flag = bool | Unverified
 
 #: How many consecutive n one search chunk covers, serially or in a pool worker.
 CHUNK_SIZE = 512
@@ -114,20 +112,15 @@ def _repetition_valuation(p: int, k: int, digits: int) -> int:
     return padic_order(residue, p) - padic_order(10**digits - 1, p)
 
 
-@dataclass(frozen=True)
-class VerificationRow:
-    """One k compared between prediction and brute force."""
+class VerificationRow(namedtuple("VerificationRow", "k predicted observed")):
+    """One k compared between prediction (a bool) and brute force (a Flag)."""
 
-    k: int
-    predicted: bool
-    observed: Flag
+    __slots__ = ()
 
     @property
     def agrees(self) -> bool | None:
         """True/False agreement, or None (skipped) when unverified."""
-        if isinstance(self.observed, Unverified):
-            return None
-        return self.predicted == self.observed
+        return None if isinstance(self.observed, Unverified) else self.predicted == self.observed
 
 
 def verify(

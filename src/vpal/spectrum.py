@@ -31,11 +31,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import eq, mul
-from typing import Union
 
 from .errors import InvalidInput
 from .indicator import IndicatorCombination
@@ -48,7 +47,7 @@ from .numbers import divisors, factorize
 #: it is larger: for long windows of large samples.
 ZERO_TOLERANCE = 1e-9
 
-Coefficient = Union[int, Fraction, float, complex]
+Coefficient = int | Fraction | float | complex
 
 #: Root-of-unity phase -> coefficient, iterating by (denominator, numerator).
 Spectrum = dict[Fraction, Coefficient]
@@ -58,26 +57,24 @@ def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
-@dataclass(frozen=True)
-class PeriodicSamples:
+class PeriodicSamples(namedtuple("PeriodicSamples", "values")):
     """One window of a periodic function: values[x] = f(x) for 0 <= x < period = len(values)."""
 
-    values: tuple
-
-    def __post_init__(self):
+    def __new__(cls, values: tuple):
         """Reject a window that is empty, holds a non-finite sample, or is so
         large that w * max|v| exceeds the largest float, and set `_threshold`:
-        ZERO_TOLERANCE, raised to the rounding floor of a transform of values."""
-        if not self.values:
+        ZERO_TOLERANCE, raised to the rounding floor of a transform of values,
+        which stays out of equality, the hash and the repr, as `_inverse` does."""
+        if not values:
             raise ValueError("need at least one sample")
-        w = len(self.values)
+        w = len(values)
         try:
-            magnitudes = list(map(abs, map(complex, self.values)))
+            magnitudes = list(map(abs, map(complex, values)))
         except OverflowError:  # an int beyond the float range, or |v| beyond it
             magnitudes = [math.inf]
         else:
             if not all(map(math.isfinite, magnitudes)):
-                bad = next(v for v, m in zip(self.values, magnitudes) if not math.isfinite(m))
+                bad = next(v for v, m in zip(values, magnitudes) if not math.isfinite(m))
                 raise InvalidInput(f"sample {bad!r} is not a finite complex number")
         scale = max(magnitudes)
         if w * scale > sys.float_info.max:
@@ -85,7 +82,9 @@ class PeriodicSamples:
                 f"samples too large: the window length {w} times the largest magnitude "
                 "exceeds the largest float"
             )
-        object.__setattr__(self, "_threshold", max(ZERO_TOLERANCE, w * sys.float_info.epsilon * scale))
+        self = super().__new__(cls, values)
+        self._threshold = max(ZERO_TOLERANCE, w * sys.float_info.epsilon * scale)
+        return self
 
     @property
     def period(self) -> int:

@@ -629,12 +629,14 @@ class TestParser:
 
 class TestProcess:
     def test_import_loads_no_sympy_and_no_process_pool(self):
-        probe = (
-            "import sys, vpal.cli; "
-            "print(sorted(m for m in ('sympy', 'concurrent.futures.process') if m in sys.modules))"
-        )
-        result = run_python("-c", probe, capture_output=True, text=True, check=True)
-        assert result.stdout == "[]\n"
+        # no command needs these at start: sympy is for tests, the process pool
+        # for pooled search, json for search, csv for --format csv, dataclasses
+        # for nothing; site-packages may import typing, so only -S checks it
+        unneeded = ("sympy", "concurrent.futures.process", "dataclasses", "json", "csv")
+        for flags, names in (((), unneeded), (("-S",), unneeded + ("typing",))):
+            probe = f"import sys, vpal.cli; print(sorted(m for m in {names!r} if m in sys.modules))"
+            result = run_python(*flags, "-c", probe, capture_output=True, text=True, check=True)
+            assert result.stdout == "[]\n", flags
 
     def test_closed_stdout_ends_quietly(self):
         # regression: a reader that closes the pipe early (`| head -1`) made

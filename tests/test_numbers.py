@@ -46,6 +46,7 @@ from vpal.numbers import (
     _proved_prime,
     _isprime,
     _order_of_ten,
+    _perfect_power,
     _repetition_order,
     _strong_lucas_probable_prime,
 )
@@ -81,8 +82,8 @@ class TestReverseDigits:
 
 class TestFactorize:
     def test_known_values(self):
-        assert factorize(56056).as_dict() == {2: 3, 7: 2, 11: 1, 13: 1}
-        assert factorize(65065).as_dict() == {5: 1, 7: 1, 11: 1, 13: 2}
+        assert dict(factorize(56056)) == {2: 3, 7: 2, 11: 1, 13: 1}
+        assert dict(factorize(65065)) == {5: 1, 7: 1, 11: 1, 13: 2}
         assert factorize(1).factors == ()
 
     def test_soundness_against_sympy(self):
@@ -90,33 +91,33 @@ class TestFactorize:
         for _ in range(200):
             n = rng.randint(2, 10**12)
             f = factorize(n)
-            assert f.as_dict() == sympy.factorint(n)
+            assert dict(f) == sympy.factorint(n)
             assert math.prod(p**e for p, e in f) == n
             assert all(sympy.isprime(p) for p, _ in f)
 
     def test_large_composite(self):
         n = 1000003 * 1000033 * 1000037  # beyond trial division, needs the rho stage
         f = factorize(n)
-        assert f.as_dict() == {1000003: 1, 1000033: 1, 1000037: 1}
+        assert dict(f) == {1000003: 1, 1000033: 1, 1000037: 1}
 
     @pytest.mark.parametrize(
         "p, e", [(100000000000031, 2), (100000000000031, 3), (10007, 7), (100000000000031, 6), (10007, 10)]
     )
     def test_prime_power_spends_no_budget(self, p, e):
         # Brent's method would need about sqrt(p) iterations; root extraction none
-        assert factorize(p**e, budget=0).as_dict() == {p: e}
+        assert dict(factorize(p**e, budget=0)) == {p: e}
 
     def test_composite_root_is_split(self):
-        assert factorize((1000003 * 1000033) ** 2).as_dict() == {1000003: 2, 1000033: 2}
+        assert dict(factorize((1000003 * 1000033) ** 2)) == {1000003: 2, 1000033: 2}
         p = 100000000000031
-        assert factorize((10007 * p) ** 3, budget=1_000).as_dict() == {10007: 3, p: 3}
+        assert dict(factorize((10007 * p) ** 3, budget=1_000)) == {10007: 3, p: 3}
 
     @pytest.mark.parametrize(
         "n", [(10007 * 10009) ** 6, (100003 * 1000000007) ** 3, (10007**2 * 100000000000031) ** 3]
     )
     def test_composite_roots_match_sympy(self, n):
         # the root of a root may be composite, or a power again
-        assert factorize(n, budget=1_000).as_dict() == sympy.factorint(n)
+        assert dict(factorize(n, budget=1_000)) == sympy.factorint(n)
 
     HARD = 1000000000000066600000000000001  # 31-digit prime ("Belphegor")
     SEMIPRIME = HARD * (10**30 + 57)  # 10**30 + 57 is prime
@@ -191,13 +192,13 @@ class TestFactorize:
         ns += [p * q for p, q in combinations_with_replacement(edges, 2)]
         ns += [p**2 * q * r for p, q, r in combinations_with_replacement(edges, 3)]
         for n in ns:
-            assert factorize(n).as_dict() == sympy.factorint(n), n
+            assert dict(factorize(n)) == sympy.factorint(n), n
 
     def test_around_the_trial_limit_squared(self):
         # survivors of trial division below 10**8 are taken as prime unchecked
         assert _TRIAL_LIMIT**2 == 10**8
         for n in range(10**8 - 300, 10**8 + 300):
-            assert factorize(n).as_dict() == sympy.factorint(n), n
+            assert dict(factorize(n)) == sympy.factorint(n), n
 
     @pytest.mark.parametrize(
         "n",
@@ -210,7 +211,7 @@ class TestFactorize:
         ],
     )
     def test_trial_division_stops_early(self, n):
-        assert factorize(n).as_dict() == sympy.factorint(n)
+        assert dict(factorize(n)) == sympy.factorint(n)
 
     @pytest.mark.parametrize("digits", [2, 4, 8, 15, 24, 36])
     def test_trial_division_matches_sympy_on_random_n(self, digits):
@@ -225,7 +226,7 @@ class TestFactorize:
             except BudgetExceeded as exc:
                 assert exc.cofactor == n // smooth and not sympy.isprime(exc.cofactor), n
             else:
-                assert f.as_dict() == sympy.factorint(n), n
+                assert dict(f) == sympy.factorint(n), n
 
     def test_determinism(self):
         n = 10**24 - 1
@@ -249,6 +250,27 @@ class TestFactorize:
 
 def _raise_budget_exceeded():
     raise BudgetExceeded(10, 7, 5)
+
+
+class TestPerfectPower:
+    EXPONENTS = (2, 3, 5, 7, 11, 13)
+
+    def test_verdict_equals_sympy_on_the_candidate_exponents(self):
+        # powers of roots with and without small factors, multiples of the
+        # residue-test primes, near misses and random odd m
+        rng = random.Random(34)
+        cases = []
+        for _ in range(300):
+            k = rng.choice(self.EXPONENTS + (4, 6, 17))
+            root = rng.randrange(2, 10 ** rng.randint(1, 12))
+            m = root**k
+            cases += [m, m + 2, m - 2, (3 * root) ** k, 3 * m + 3, rng.randrange(10**29, 10**60) | 1]
+        for m in cases:
+            power = _perfect_power(m, self.EXPONENTS)
+            assert (power is None) == (sympy.perfect_power(m, candidates=self.EXPONENTS) is False), m
+            if power is not None:
+                root, k = power
+                assert k in self.EXPONENTS and root**k == m, m
 
 
 class TestBudgetExceeded:
