@@ -30,6 +30,8 @@ class CrucialPrimeRecord(namedtuple("CrucialPrimeRecord", "p exp_n exp_reverse")
             raise ValueError(f"{p} has equal exponents on both sides")
         return super().__new__(cls, p, exp_n, exp_reverse)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace, too, builds through __new__
+
     @property
     def delta(self) -> int:
         return self.exp_n - self.exp_reverse

@@ -84,6 +84,8 @@ class IndicatorCombination(namedtuple("IndicatorCombination", "terms")):
             last = modulus
         return super().__new__(cls, terms)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace, too, builds through __new__
+
     @classmethod
     def collect(cls, pairs: Iterable[tuple[int, int]]) -> IndicatorCombination:
         """Canonical form from arbitrary (modulus, coefficient) pairs: like
@@ -135,32 +137,19 @@ def order(comb: IndicatorCombination) -> Order:
 
 
 class AnalysisReport(namedtuple("AnalysisReport", "n reverse digits n_factorization reverse_factorization records "
-                                "combination order omega0 omega_f omega_b")):
+                                "combination order omega0 omega_f omega_b budget", defaults=(DEFAULT_BUDGET,))):
     """Everything the pipeline derives for one number, kept together so the
-    intermediate tables stay consistent with the final quantities.
+    intermediate tables stay consistent with the final quantities.  budget is
+    the factoring budget the report was computed with, DEFAULT_BUDGET unless
+    given.
 
     The characteristic solutions, each crucial prime's constraint table and
-    every solution's constraints are read on first use (cached properties):
-    functions of records, digits and budget, they sit beside the tuple with
-    budget, out of equality and the hash.  The tables come from
-    constraint_table's memo, where the pipeline left them if it read them.
+    every solution's constraints are read on first use (cached properties in
+    the instance dict, out of equality and the hash): functions of records,
+    digits and budget, so a copy made by _replace reads its own.  The tables
+    come from constraint_table's memo, where the pipeline left them if it
+    read them.
     """
-
-    # budget has a default because unpickling calls __new__ with the tuple
-    # fields alone and then restores the instance dict, budget with it
-    def __new__(cls, n, reverse, digits, n_factorization, reverse_factorization, records, combination,
-                order, omega0, omega_f, omega_b, budget=DEFAULT_BUDGET):
-        self = super().__new__(cls, n, reverse, digits, n_factorization, reverse_factorization, records,
-                               combination, order, omega0, omega_f, omega_b)
-        self.__dict__["budget"] = budget
-        return self
-
-    @property
-    def budget(self) -> int:
-        return self.__dict__["budget"]
-
-    def __repr__(self) -> str:
-        return f"{super().__repr__()[:-1]}, budget={self.budget!r})"
 
     @cached_property
     def solutions(self) -> tuple[tuple[int, ...], ...]:
@@ -182,7 +171,7 @@ class AnalysisReport(namedtuple("AnalysisReport", "n reverse digits n_factorizat
 def analyze(n: int, budget: int = DEFAULT_BUDGET) -> AnalysisReport:
     """Run the whole pipeline for one number.  The report holds the indicator
     combination and everything read off it: c(n) as order, omega0, omega_f
-    and omega_b.
+    and omega_b; its last field is the budget it was computed with.
 
     Steps: crucial_primes checks n, factors n and its reversal and picks out
     the crucial primes (the report's two factorizations are then memo hits);

@@ -282,11 +282,12 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     powers.  That split is memoized on the survivor, not on n, so a
     concatenation N = n * R_k and its reversal rev(n) * R_k, and every
     concatenation with the same repetition cofactor, split it once.  Trial
-    division spends no budget, so the budget still meters each factorization
-    as before.  Primes below 10**8 are proved by the trial division, larger
-    ones by _isprime, the package's one primality check: a proof below
-    3.3*10**24 (strong probable-prime tests on bases known to suffice there),
-    a strong BPSW test above, which no known composite passes.  Its verdicts
+    division spends no budget: n exceeds it exactly when its survivor's split,
+    computed or read from the memo, takes more than budget Brent iterations.
+    Primes below 10**8 are proved by the trial division, larger ones by
+    _isprime, the package's one primality check: a proof below 3.3*10**24
+    (strong probable-prime tests on bases known to suffice there), a strong
+    BPSW test above, which no known composite passes.  Its verdicts
     are memoized, so each prime is proved once, also when it comes out of a
     Brent split and is later factored on its own.
     Raises BudgetExceeded when a cofactor that is not a perfect power resists

@@ -68,9 +68,10 @@ def brute_force_flag(
     Direct mode builds the digit string, reverses it as a string, and factors
     both integers.  Both leave the same cofactor of the repetition number
     after trial division, and factorize memoizes its split, so it is split
-    once here and for every n below 10^4 of the same width and k; the budget
-    still meters each factorization as before.  Accelerated mode uses that
-    the concatenation is n * R and, when 10 does not divide n, its reversal
+    once here and for every n below 10^4 of the same width and k; each of the
+    two factorizations exceeds the budget exactly when splitting its survivor
+    takes more than budget Brent iterations.  Accelerated mode uses that the
+    concatenation is n * R and, when 10 does not divide n, its reversal
     is rev(n) * R, with R the repetition number.  Write R = A * B, A holding
     the primes of n and rev(n).  B is coprime to n * A and to rev(n) * A,
     and the factorization sum adds over coprime parts, so the two sums

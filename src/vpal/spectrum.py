@@ -86,6 +86,8 @@ class PeriodicSamples(namedtuple("PeriodicSamples", "values")):
         self._threshold = max(ZERO_TOLERANCE, w * sys.float_info.epsilon * scale)
         return self
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace, too, builds through __new__
+
     @property
     def period(self) -> int:
         return len(self.values)
@@ -116,9 +118,10 @@ def _transform(values) -> list[complex]:
     each axis with no twiddle factors, since r*x/w = sum of r_i*x/q_i mod 1
     for r = sum of r_i*n_i.  Position (r_1, ..., r_k) then holds frequency
     sum of r_i*n_i mod w.  That costs w * (q_1 + ... + q_k) terms instead of
-    w**2.  Each partial sum is still a sum of at most w samples times unit
-    roots, so the rounding floor of `PeriodicSamples._threshold` and the
-    window's overflow check hold unchanged.
+    w**2.  Each partial sum is a sum of at most w samples times unit roots,
+    so its magnitude stays within w * max|v|, the bound that the rounding
+    floor of `PeriodicSamples._threshold` and the window's overflow check
+    are set from.
 
     Each axis reads one table of the q_i-th roots of unity, the float that
     exp(-2*pi*i * j / q_i) gives.  For a prime-power w (one axis) the

@@ -204,12 +204,15 @@ class TestSearch:
     def test_parallel_matches_serial(self, monkeypatch):
         # 2..1100 spans three chunks, so the pool merges several workers' hits;
         # the pool is capped at the CPU count, so report two CPUs to keep this
-        # on the pooled path on a one-CPU host
+        # on the pooled path on a one-CPU host; a report that crosses the
+        # pool carries the budget it was computed with
         assert 2 * CHUNK_SIZE < 1100 - 1 <= 3 * CHUNK_SIZE
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        serial = list(search_iter(1100, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=1))
-        parallel = list(search_iter(1100, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=2))
-        assert serial == parallel
+        for budget in (DEFAULT_BUDGET, 10**6):
+            serial = list(search_iter(1100, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=1, budget=budget))
+            parallel = list(search_iter(1100, SearchProperty.CONJ1_COUNTEREXAMPLE, workers=2, budget=budget))
+            assert serial == parallel
+            assert {r.budget for r in parallel} == {budget}
 
     def test_first_hit_of_a_huge_range_needs_no_chunk_list(self):
         # regression: a tuple for every chunk of the range was built before

@@ -19,6 +19,7 @@ from vpal import (
     VerificationRow,
     analyze,
     factorize,
+    gcd_period,
     samples_to_spectrum,
     verify,
 )
@@ -94,16 +95,20 @@ class TestContract:
 
 
 class TestAnalysisReport:
-    def test_budget_stays_out_of_equality_and_hash(self):
+    def test_budget_is_a_field_in_equality_and_hash(self):
         a, b = analyze(126, 10**6), analyze(126, 10**7)
         assert (a.budget, b.budget) == (10**6, 10**7)
-        assert a == b and hash(a) == hash(b)
+        assert len(a) == len(REPORT_FIELDS) and tuple(a)[-1] == 10**6
+        assert a != b and a[:-1] == b[:-1]
+        assert hash(a) != hash(b)
 
     def test_cached_properties_show_in_vars_and_survive_pickling(self):
         report = analyze(126, 10**6)
-        assert set(vars(report)) == {"budget"}
-        report.solutions, report.tables, report.constraints
-        assert set(vars(report)) == {"budget", "solutions", "tables", "constraints"}
+        assert vars(report) == {}
+        report.solutions
+        assert set(vars(report)) == {"solutions"}
+        report.constraints
+        assert set(vars(report)) == {"solutions", "tables", "constraints"}
         again = pickle.loads(pickle.dumps(report))
         assert again.budget == 10**6
         assert vars(again) == vars(report)
@@ -112,6 +117,14 @@ class TestAnalysisReport:
         report = analyze(126)
         fields = [getattr(report, f) for f in REPORT_FIELDS[:-1]]
         assert AnalysisReport(*fields).budget == report.budget
+
+    def test_replace_keeps_the_budget(self):
+        report = analyze(126, 10**6)
+        report.constraints
+        copy = report._replace(n=5)
+        assert copy.budget == 10**6
+        assert vars(copy) == {}
+        assert copy.constraints == report.constraints
 
 
 class TestPeriodicSamples:
@@ -122,6 +135,11 @@ class TestPeriodicSamples:
         assert set(vars(s)) == {"_threshold", "_inverse"}
         again = pickle.loads(pickle.dumps(s))
         assert vars(again) == vars(s)
+
+    def test_replace_builds_a_window_with_its_threshold(self):
+        s = PeriodicSamples((1, 0))._replace(values=(1, 0, 1, 0))
+        assert set(vars(s)) == {"_threshold"}
+        assert gcd_period(s) == 2
 
     def test_equality_hash_and_repr_read_values_alone(self):
         a, b = PeriodicSamples((1, 2)), PeriodicSamples((1, 2))
@@ -167,6 +185,14 @@ class TestValidation:
             CrucialPrimeRecord(p=7, exp_n=1, exp_reverse=1)
         with pytest.raises(ValueError, match="strictly increasing"):
             Factorization(factors=((3, 1), (2, 1)))
+
+    def test_replace_is_validated(self):
+        with pytest.raises(ValueError, match="7 has equal exponents on both sides"):
+            CrucialPrimeRecord(7, 1, 0)._replace(exp_reverse=1)
+        with pytest.raises(ValueError, match="moduli must be strictly increasing"):
+            IndicatorCombination(((2, 1),))._replace(terms=((6, 1), (2, 1)))
+        with pytest.raises(InvalidInput, match="sample nan is not a finite complex number"):
+            PeriodicSamples((1, 0))._replace(values=(1, math.nan))
 
 
 class TestTupleBehaviour:
